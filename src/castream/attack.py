@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .engine import Configuration, Rule
+from .engine import Configuration, Rule, temporal_sequence
 
 __all__ = [
     "PartialDiagram",
@@ -197,23 +197,22 @@ def _draw_guess(seed: int, trial: int, length: int) -> Bits:
     return tuple(rng.getrandbits(1) for _ in range(length))
 
 
-def _tap_sequence(rule: Rule, key: Configuration, length: int) -> Bits:
-    # Ring evolution tracking cell 0 only; plain Python is fastest at attack sizes.
-    table = rule.truth_table
-    cells = list(key.cells)
-    n = len(cells)
-    out = [cells[0]]
-    for _ in range(length - 1):
-        cells = [
-            table[(cells[i - 1] << 2) | (cells[i] << 1) | cells[(i + 1) % n]]
-            for i in range(n)
-        ]
-        out.append(cells[0])
-    return tuple(out)
+def _checked_observation(rule: Rule, observed: Sequence[int], budget: int, budget_name: str) -> Bits:
+    _require_attackable(rule)
+    observed = tuple(observed)
+    if len(observed) < 3:
+        raise ValueError("observed sequence must contain at least 3 values")
+    _check_bits("observed sequence", observed)
+    if budget < 1:
+        raise ValueError(f"{budget_name} must be >= 1")
+    return observed
 
 
-def _candidate_key(rule: Rule, observed: Bits, guess: Bits) -> Configuration:
-    return backward_completion(rule, forward_completion(rule, observed, guess))
+def _trial(rule: Rule, observed: Bits, seed: int, trial: int) -> tuple[Bits, Configuration, bool]:
+    """One independent attempt: draw a guess, complete the key, verify it on the ring."""
+    guess = _draw_guess(seed, trial, len(observed) - 1)
+    key = backward_completion(rule, forward_completion(rule, observed, guess))
+    return guess, key, temporal_sequence(key, rule, 0, len(observed)) == observed
 
 
 def attack(
@@ -230,38 +229,18 @@ def attack(
     matches all N observed values is accepted.  Raises
     ``TrialsExhaustedError`` when the budget runs out.
     """
-    _require_attackable(rule)
-    observed = tuple(observed)
-    n = len(observed)
-    if n < 3:
-        raise ValueError("observed sequence must contain at least 3 values")
-    _check_bits("observed sequence", observed)
-    if max_trials < 1:
-        raise ValueError("max_trials must be >= 1")
+    observed = _checked_observation(rule, observed, max_trials, "max_trials")
     for trial in range(max_trials):
-        guess = _draw_guess(seed, trial, n - 1)
-        key = _candidate_key(rule, observed, guess)
-        matched = _tap_sequence(rule, key, n) == observed
+        guess, key, matched = _trial(rule, observed, seed, trial)
         if trace is not None:
             trace(trial, guess, key, matched)
         if matched:
-            return AttackResult(recovered_key=key, trials_used=trial + 1, matched_length=n)
+            return AttackResult(recovered_key=key, trials_used=trial + 1, matched_length=len(observed))
     raise TrialsExhaustedError(max_trials)
 
 
 def success_rate(rule: Rule, observed: Sequence[int], trials: int, seed: int) -> Fraction:
     """Fraction of independent single-guess attacks that reproduce the observation."""
-    _require_attackable(rule)
-    observed = tuple(observed)
-    if len(observed) < 3:
-        raise ValueError("observed sequence must contain at least 3 values")
-    _check_bits("observed sequence", observed)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    successes = 0
-    for trial in range(trials):
-        guess = _draw_guess(seed, trial, len(observed) - 1)
-        key = _candidate_key(rule, observed, guess)
-        if _tap_sequence(rule, key, len(observed)) == observed:
-            successes += 1
+    observed = _checked_observation(rule, observed, trials, "trials")
+    successes = sum(_trial(rule, observed, seed, trial)[2] for trial in range(trials))
     return Fraction(successes, trials)

@@ -54,32 +54,38 @@ def _build_rule(args: argparse.Namespace) -> RuleLike:
     return Rule.from_number(args.rule, args.radius)
 
 
-def _initial_config(args: argparse.Namespace) -> Configuration:
-    init = args.init
-    if init == "single":
-        return Configuration.single(_require_width(args))
-    if init == "zero":
-        return Configuration.zeros(_require_width(args))
-    if init == "random":
-        if args.seed is None:
-            raise ValueError("--init random requires --seed")
-        return Configuration.random(_require_width(args), random.Random(args.seed))
-    config = Configuration.from_bits(init)
-    if args.width is not None and args.width != config.width:
-        raise ValueError(f"--width {args.width} does not match --init of length {config.width}")
-    return config
+def _ring(args: argparse.Namespace, text: str, flag: str, named: tuple[str, ...]) -> Configuration:
+    """The ring given by ``--init`` or ``--key``: literal bits, or a named state of ``--width`` cells.
 
-
-def _require_width(args: argparse.Namespace) -> int:
-    if args.width is None:
+    Sets ``args.width`` to the ring's width, and checks it against the cap
+    before a named ring is allocated.
+    """
+    if text not in named:
+        literal = Configuration.from_bits(text)
+        if args.width is not None and args.width != literal.width:
+            raise ValueError(f"--width {args.width} does not match {flag} of length {literal.width}")
+        args.width = literal.width
+    elif text == "random" and args.seed is None:
+        raise ValueError(f"{flag} random requires --seed")
+    elif args.width is None:
         raise ValueError("--width is required unless the initial state is a literal bit string")
-    return args.width
+    if args.width > args.max_width:
+        raise ValueError(f"ring width {args.width} exceeds the cap of {args.max_width}; raise it with --max-width")
+    if text not in named:
+        return literal
+    if text == "random":
+        return Configuration.random(args.width, random.Random(args.seed))
+    return Configuration.single(args.width) if text == "single" else Configuration.zeros(args.width)
 
 
-def _check_width_cap(args: argparse.Namespace, width: int) -> None:
-    cap = getattr(args, "max_width", DEFAULT_MAX_WIDTH)
-    if width > cap:
-        raise ValueError(f"ring width {width} exceeds the cap of {cap}; raise it with --max-width")
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -113,10 +119,7 @@ def _read_stream(path: str, fmt: str, bits: int | None) -> Bits:
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
-    config = _initial_config(args)
-    if args.width is None:
-        args.width = config.width
-    _check_width_cap(args, config.width)
+    config = _ring(args, args.init, "--init", ("single", "zero", "random"))
     rule = _build_rule(args)
     diagram = evolve(config, rule, args.steps)
     if args.format == "pbm":
@@ -127,20 +130,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_keystream(args: argparse.Namespace) -> int:
-    key_arg = args.key
-    if key_arg == "random":
-        if args.seed is None:
-            raise ValueError("--key random requires --seed")
-        key = Configuration.random(_require_width(args), random.Random(args.seed))
-    elif key_arg == "zero":
-        key = Configuration.zeros(_require_width(args))
-    else:
-        key = Configuration.from_bits(key_arg)
-        if args.width is not None and args.width != key.width:
-            raise ValueError(f"--width {args.width} does not match --key of length {key.width}")
-    if args.width is None:
-        args.width = key.width
-    _check_width_cap(args, key.width)
+    key = _ring(args, args.key, "--key", ("zero", "random"))
     rule = _build_rule(args)
     spec = KeystreamSpec(rule=rule, width=key.width, tap=args.cell, burn_in=args.burn_in)
     bits = keystream(key, spec, args.length)
@@ -279,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", required=True, help="single | zero | random | literal bits")
     p.add_argument("--seed", type=int, help="seed for --init random")
     p.add_argument("--format", choices=("text", "pbm"), default="text")
-    p.add_argument("--max-width", type=int, default=DEFAULT_MAX_WIDTH, help="ring width cap")
+    p.add_argument("--max-width", type=_positive_int, default=DEFAULT_MAX_WIDTH, help="ring width cap")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_evolve)
 
@@ -292,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, required=True, help="number of keystream bits")
     p.add_argument("--burn-in", type=int, default=0, help="steps discarded before output")
     p.add_argument("--stream-format", choices=("ascii", "raw"), default="ascii")
-    p.add_argument("--max-width", type=int, default=DEFAULT_MAX_WIDTH, help="ring width cap")
+    p.add_argument("--max-width", type=_positive_int, default=DEFAULT_MAX_WIDTH, help="ring width cap")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_keystream)
 

@@ -6,14 +6,17 @@ Wolfram number: the integer whose binary expansion, read at index
 the most significant bit, is the rule's truth table.  Configurations live on
 a ring of N cells (indices wrap modulo N).  All operations are pure; every
 value is immutable once constructed.
+
+Steps are evaluated on packed states: the ring is one int with bit i = cell
+i, each neighbor is a rotation of it, and the rule is applied to all cells
+at once by bitwise code compiled from its truth table.
 """
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
-from typing import Sequence, Union
-
-import numpy as np
+from typing import Callable, Iterator, Sequence, Union
 
 __all__ = [
     "Rule",
@@ -29,6 +32,9 @@ __all__ = [
 ]
 
 SUPPORTED_RADII = (1, 2)
+
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_TO_CELLS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -198,63 +204,86 @@ def apply_rule(rule: Rule, neighborhood: Sequence[int]) -> int:
     return rule.apply(neighborhood)
 
 
-class _Stepper:
-    """Precompiled one-step update for a fixed width and rule (or assignment)."""
+@functools.lru_cache(maxsize=1024)
+def _kernel(truth_table: tuple[int, ...]) -> Callable[..., int]:
+    """Compile a truth table into bitwise code over packed operands.
 
-    def __init__(self, width: int, rule: RuleLike):
-        needed = 2 * rule.radius + 1
-        if width < needed:
+    The compiled function takes one int per neighbor, leftmost first, and a
+    mask of ones over the packed width; bit k of its result is the table's
+    output for bit k of the operands.  It is a sum of products over the
+    rarer output value, complemented under the mask when that value is 0.
+    """
+    size = len(truth_table)
+    arity = size.bit_length() - 1
+    value = 1 if 2 * sum(truth_table) <= size else 0
+    terms = []
+    for x in range(size):
+        if truth_table[x] == value:
+            literals = (f"x{j}" if x >> (arity - 1 - j) & 1 else f"n{j}" for j in range(arity))
+            terms.append("(" + " & ".join(literals) + ")")
+    body = " | ".join(terms) or "0"
+    negations = "".join(f"    n{j} = m ^ x{j}\n" for j in range(arity) if f"n{j}" in body)
+    result = body if value else f"m ^ ({body})"
+    params = ", ".join(f"x{j}" for j in range(arity))
+    source = f"def kernel({params}, m):\n{negations}    return {result}\n"
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["kernel"]
+
+
+def _pack(cells: Sequence[int]) -> int:
+    return int(bytes(cells[::-1]).translate(_TO_DIGITS), 2)
+
+
+def _unpack(state: int, width: int) -> tuple[int, ...]:
+    return tuple(format(state, f"0{width}b")[::-1].encode().translate(_TO_CELLS))
+
+
+def _states(config: Configuration, rule: RuleLike, steps: int) -> Iterator[int]:
+    """Packed ring states (bit i = cell i) at times 0 .. steps."""
+    width = config.width
+    needed = 2 * rule.radius + 1
+    if width < needed:
+        raise ValueError(
+            f"ring width {width} too small for radius {rule.radius} (need >= {needed})"
+        )
+    mask = (1 << width) - 1
+    if isinstance(rule, RuleAssignment):
+        if rule.width != width:
             raise ValueError(
-                f"ring width {width} too small for radius {rule.radius} (need >= {needed})"
+                f"assignment has {rule.width} rules but configuration has {width} cells"
             )
-        base = np.arange(width)
-        # gather[i] picks the neighbor at each successive offset, leftmost first (MSB)
-        self._gathers = [(base + off) % width for off in range(-rule.radius, rule.radius + 1)]
-        if isinstance(rule, RuleAssignment):
-            if rule.width != width:
-                raise ValueError(
-                    f"assignment has {rule.width} rules but configuration has {width} cells"
-                )
-            self._tables = np.array([r.truth_table for r in rule.rules], dtype=np.uint8)
-            self._rows = base
-        else:
-            self._tables = np.array(rule.truth_table, dtype=np.uint8)
-            self._rows = None
-
-    def step(self, cells: np.ndarray) -> np.ndarray:
-        index = np.zeros(len(cells), dtype=np.intp)
-        for gather in self._gathers:
-            index = (index << 1) | cells[gather]
-        if self._rows is None:
-            return self._tables[index]
-        return self._tables[self._rows, index]
+        tables = [r.truth_table for r in rule.rules]
+        parts = [(_kernel(t), _pack([x == t for x in tables])) for t in dict.fromkeys(tables)]
+    else:
+        parts = [(_kernel(rule.truth_table), mask)]
+    # the operand for offset o holds cell i+o at bit i: the state rotated right by o
+    shifts = [offset % width for offset in range(-rule.radius, rule.radius + 1)]
+    state = _pack(config.cells)
+    yield state
+    for _ in range(steps):
+        operands = [((state >> k) | (state << (width - k))) & mask for k in shifts]
+        state = 0
+        for kernel, cells in parts:
+            state |= kernel(*operands, mask) & cells
+        yield state
 
 
-def step(config: Configuration, rule: Rule) -> Configuration:
-    """Advance the ring one time step under a uniform rule."""
-    stepper = _Stepper(config.width, rule)
-    cells = stepper.step(np.array(config.cells, dtype=np.uint8))
-    return Configuration(tuple(int(b) for b in cells))
+def step(config: Configuration, rule: RuleLike) -> Configuration:
+    """Advance the ring one time step under a rule or a per-cell assignment."""
+    *_, state = _states(config, rule, 1)
+    return Configuration(_unpack(state, config.width))
 
 
-def step_nonuniform(config: Configuration, assignment: RuleAssignment) -> Configuration:
-    """Advance the ring one step with a per-cell rule assignment."""
-    stepper = _Stepper(config.width, assignment)
-    cells = stepper.step(np.array(config.cells, dtype=np.uint8))
-    return Configuration(tuple(int(b) for b in cells))
+step_nonuniform = step
 
 
 def evolve(config: Configuration, rule: RuleLike, steps: int) -> SpaceTimeDiagram:
     """Evolve for ``steps`` steps; rows[0] is the initial configuration."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    stepper = _Stepper(config.width, rule)
-    cells = np.array(config.cells, dtype=np.uint8)
-    rows = [config]
-    for _ in range(steps):
-        cells = stepper.step(cells)
-        rows.append(Configuration(tuple(int(b) for b in cells)))
-    return SpaceTimeDiagram(tuple(rows))
+    states = _states(config, rule, steps)
+    return SpaceTimeDiagram(tuple(Configuration(_unpack(state, config.width)) for state in states))
 
 
 def temporal_sequence(config: Configuration, rule: RuleLike, cell: int, length: int) -> tuple[int, ...]:
@@ -263,10 +292,4 @@ def temporal_sequence(config: Configuration, rule: RuleLike, cell: int, length: 
         raise ValueError(f"cell {cell} out of range for width {config.width}")
     if length < 1:
         raise ValueError("length must be >= 1")
-    stepper = _Stepper(config.width, rule)
-    cells = np.array(config.cells, dtype=np.uint8)
-    out = [int(cells[cell])]
-    for _ in range(length - 1):
-        cells = stepper.step(cells)
-        out.append(int(cells[cell]))
-    return tuple(out)
+    return tuple(state >> cell & 1 for state in _states(config, rule, length - 1))

@@ -28,7 +28,7 @@ from .algebra import (
     equivalence_class,
     reflect,
 )
-from .engine import Rule
+from .engine import Rule, _kernel, _unpack
 
 __all__ = [
     "BooleanFunction",
@@ -93,20 +93,16 @@ def iterate_rule(rule: Rule, order: int) -> BooleanFunction:
     width = 2 * rule.radius * order + 1
     if width > MAX_TRANSFORM_VARIABLES:
         raise ValueError(f"iterated function would need {width} variables (max {MAX_TRANSFORM_VARIABLES})")
-    count = 1 << width
-    inputs = np.arange(count, dtype=np.uint32)
-    state = np.empty((count, width), dtype=np.uint8)
-    for column in range(width):
-        state[:, column] = (inputs >> (width - 1 - column)) & 1
-    table = np.array(rule.truth_table, dtype=np.uint8)
-    span = rule.neighborhood_size
+    state, count = [], 1
+    # state[c] is window cell c as a 2^width-bit truth table; each cell added
+    # on the left is the next higher bit of the function index
+    for _ in range(width):
+        state = [((1 << count) - 1) << count] + [v | v << count for v in state]
+        count *= 2
+    kernel, mask, span = _kernel(rule.truth_table), (1 << count) - 1, rule.neighborhood_size
     for _ in range(order):
-        inner = state.shape[1] - 2 * rule.radius
-        index = np.zeros((count, inner), dtype=np.uint8)
-        for offset in range(span):
-            index = (index << 1) | state[:, offset : offset + inner]
-        state = table[index]
-    return BooleanFunction(tuple(int(v) for v in state[:, 0]))
+        state = [kernel(*state[i : i + span], mask) for i in range(len(state) - span + 1)]
+    return BooleanFunction(_unpack(state[0], count))
 
 
 def walsh_transform(f: BooleanFunction) -> WalshSpectrum:

@@ -282,16 +282,28 @@ def test_identical_command_lines_are_byte_identical(capsys):
 
 
 def test_width_cap_is_enforced_and_adjustable(capsys):
-    code, _, err = run(
-        capsys, "evolve", "--rule", "30", "--width", str((1 << 20) + 1), "--steps", "0", "--init", "zero"
-    )
-    assert code == EXIT_USAGE
-    assert "--max-width" in err
-    code, out, _ = run(
-        capsys, "evolve", "--rule", "30", "--width", "4", "--steps", "0", "--init", "zero",
-        "--max-width", "3",
-    )
-    assert code == EXIT_USAGE
+    evolve = ("evolve", "--rule", "30", "--steps", "0", "--init", "zero")
+    keystream = ("keystream", "--rule", "30", "--key", "zero", "--length", "8")
+    rejected = [
+        (*evolve, "--width", str((1 << 20) + 1)),
+        (*evolve, "--width", "4", "--max-width", "3"),
+        # the cap is checked before the ring is allocated
+        (*evolve, "--width", "1000000000000", "--max-width", "1000"),
+        (*keystream, "--width", "1000000000000", "--max-width", "1000"),
+        # a cap below 1 is rejected while the flags are parsed
+        *((*command, "--width", "8", "--max-width", cap) for command in (evolve, keystream) for cap in ("0", "-5")),
+    ]
+    for argv in rejected:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE, argv
+        assert "--max-width" in err, argv
+    code, out, _ = run(capsys, *evolve, "--width", "4", "--max-width", "4")
+    assert code == EXIT_OK
+    assert out == "0000\n"
 
 
 def test_unknown_subcommand_exits_2(capsys):

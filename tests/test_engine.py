@@ -22,11 +22,23 @@ def reference_step(cells, rule):
     """Independent oracle: explicit per-cell neighborhood lookup, mod indexing."""
     n = len(cells)
     r = rule.radius
+    rules = rule.rules if isinstance(rule, RuleAssignment) else (rule,) * n
     out = []
     for i in range(n):
         neighborhood = [cells[(i + off) % n] for off in range(-r, r + 1)]
-        out.append(rule.apply(neighborhood))
+        out.append(rules[i].apply(neighborhood))
     return tuple(out)
+
+
+def rings(min_width, max_width=70):
+    """Ring contents from the tightest wrap up to past one 64-bit word."""
+    return st.integers(min_width, max_width).flatmap(
+        lambda width: st.lists(st.integers(0, 1), min_size=width, max_size=width).map(tuple)
+    )
+
+
+def rule_numbers(radius):
+    return st.integers(0, (1 << (1 << (2 * radius + 1))) - 1)
 
 
 def test_rule_30_truth_table():
@@ -112,6 +124,49 @@ def test_step_radius_2_matches_reference():
     for _ in range(50):
         config = Configuration.random(rng.randrange(5, 20), rng)
         assert step(config, rule).cells == reference_step(config.cells, rule)
+
+
+@given(cells=rings(3))
+@settings(max_examples=25, deadline=None)
+def test_step_matches_reference_for_every_radius_1_rule(cells):
+    config = Configuration(cells)
+    for number in range(256):
+        rule = rule_from_number(number)
+        assert step(config, rule).cells == reference_step(cells, rule)
+
+
+@given(number=rule_numbers(2), cells=rings(5))
+@settings(max_examples=150, deadline=None)
+def test_step_matches_reference_for_radius_2_rules(number, cells):
+    rule = rule_from_number(number, 2)
+    assert step(Configuration(cells), rule).cells == reference_step(cells, rule)
+
+
+@given(radius=st.sampled_from((1, 2)), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_step_matches_reference_for_mixed_assignments(radius, data):
+    cells = data.draw(rings(2 * radius + 1))
+    palette = data.draw(st.lists(rule_numbers(radius), min_size=1, max_size=4))
+    picks = data.draw(st.lists(st.sampled_from(palette), min_size=len(cells), max_size=len(cells)))
+    assignment = RuleAssignment(tuple(rule_from_number(n, radius) for n in picks))
+    assert step(Configuration(cells), assignment).cells == reference_step(cells, assignment)
+
+
+@given(radius=st.sampled_from((1, 2)), uniform=st.booleans(), length=st.integers(1, 40), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_temporal_sequence_matches_repeated_step(radius, uniform, length, data):
+    cells = data.draw(rings(2 * radius + 1))
+    if uniform:
+        rule = rule_from_number(data.draw(rule_numbers(radius)), radius)
+    else:
+        picks = data.draw(st.lists(rule_numbers(radius), min_size=len(cells), max_size=len(cells)))
+        rule = RuleAssignment(tuple(rule_from_number(n, radius) for n in picks))
+    cell = data.draw(st.integers(0, len(cells) - 1))
+    config, expected = Configuration(cells), []
+    for _ in range(length):
+        expected.append(config.cells[cell])
+        config = step(config, rule)
+    assert temporal_sequence(Configuration(cells), rule, cell, length) == tuple(expected)
 
 
 def test_step_rejects_too_narrow_ring():

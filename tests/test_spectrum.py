@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from castream.engine import rule_from_number
 from castream.spectrum import (
@@ -95,6 +97,23 @@ def test_iterate_rule_radius_2_variable_count():
         x = rng.randrange(1 << 9)
         window = [(x >> (8 - j)) & 1 for j in range(9)]
         assert f.truth_table[x] == simulate_window(rule, window, 2)
+
+
+@given(
+    case=st.one_of(
+        st.tuples(st.just(1), st.integers(0, 255), st.integers(1, 3)),
+        st.tuples(st.just(2), st.integers(0, (1 << 32) - 1), st.integers(1, 2)),
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_iterate_rule_matches_window_simulation_on_random_rules(case):
+    radius, number, order = case
+    rule = rule_from_number(number, radius)
+    f = iterate_rule(rule, order)
+    n = 2 * radius * order + 1
+    for x in range(1 << n):
+        window = [(x >> (n - 1 - j)) & 1 for j in range(n)]
+        assert f.truth_table[x] == simulate_window(rule, window, order)
 
 
 def test_iterate_rule_rejects_bad_order():
