@@ -8,7 +8,7 @@ live cell is a black pixel.
 """
 from __future__ import annotations
 
-from .engine import SpaceTimeDiagram
+from .engine import _TO_CELLS, _TO_DIGITS, SpaceTimeDiagram
 
 __all__ = [
     "parse_bits",
@@ -24,42 +24,43 @@ Bits = tuple[int, ...]
 
 def parse_bits(text: str) -> Bits:
     """Bits from ASCII text; whitespace (including newlines) is ignored."""
-    bits = []
-    for ch in text:
-        if ch in "01":
-            bits.append(ord(ch) - ord("0"))
-        elif not ch.isspace():
-            raise ValueError(f"invalid character {ch!r} in bitstream text")
-    return tuple(bits)
+    digits = "".join(text.split())  # str.split drops exactly the characters str.isspace accepts
+    data = digits.encode("ascii", "replace")
+    if data.translate(None, b"01"):
+        bad = next(ch for ch in digits if ch not in "01")
+        raise ValueError(f"invalid character {bad!r} in bitstream text")
+    return tuple(data.translate(_TO_CELLS))
 
 
 def format_bits(bits: Bits) -> str:
-    return "".join(str(b) for b in bits) + "\n"
+    return bytes(bits).translate(_TO_DIGITS).decode() + "\n"
 
 
 def pack_bits(bits: Bits) -> bytes:
     """Pack MSB-first; the final byte is zero-padded."""
-    out = bytearray((len(bits) + 7) // 8)
-    for i, bit in enumerate(bits):
-        if bit:
-            out[i >> 3] |= 0x80 >> (i & 7)
-    return bytes(out)
+    size = (len(bits) + 7) // 8
+    if not size:
+        return b""
+    return (int(bytes(bits).translate(_TO_DIGITS), 2) << (8 * size - len(bits))).to_bytes(size, "big")
 
 
 def unpack_bits(data: bytes, count: int) -> Bits:
     """First ``count`` bits of packed data, MSB-first."""
     if count < 0 or count > 8 * len(data):
         raise ValueError(f"cannot read {count} bits from {len(data)} bytes")
-    return tuple((data[i >> 3] >> (7 - (i & 7))) & 1 for i in range(count))
+    size = (count + 7) // 8
+    if not size:
+        return ()
+    text = format(int.from_bytes(data[:size], "big"), f"0{8 * size}b")[:count]
+    return tuple(text.encode().translate(_TO_CELLS))
 
 
 def diagram_text(diagram: SpaceTimeDiagram) -> str:
-    return "\n".join(str(row) for row in diagram.rows) + "\n"
+    return "\n".join(map(str, diagram.rows)) + "\n"
 
 
 def diagram_pbm(diagram: SpaceTimeDiagram) -> str:
     """P1 portable bitmap, one pixel per cell, 1 = live cell (black)."""
     lines = ["P1", f"{diagram.width} {len(diagram.rows)}"]
-    for row in diagram.rows:
-        lines.append(" ".join(str(b) for b in row.cells))
+    lines += (" ".join(str(row)) for row in diagram.rows)
     return "\n".join(lines) + "\n"

@@ -206,7 +206,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
     rule = Rule.from_number(args.rule)
     max_trials = args.max_trials
     if max_trials is None:
-        max_trials = 64 << (len(observed) - 1)
+        # 64 * 2^(N-1), written so that N = 0 is left for attack() to reject
+        max_trials = 32 << len(observed)
     transcript_lines: list[str] = []
 
     def trace(trial: int, guess: Bits, key: Configuration, matched: bool) -> None:

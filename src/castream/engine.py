@@ -7,13 +7,16 @@ the most significant bit, is the rule's truth table.  Configurations live on
 a ring of N cells (indices wrap modulo N).  All operations are pure; every
 value is immutable once constructed.
 
-Steps are evaluated on packed states: the ring is one int with bit i = cell
-i, each neighbor is a rotation of it, and the rule is applied to all cells
-at once by bitwise code compiled from its truth table.
+A configuration is held packed: the ring is one int with bit i = cell i,
+and its ``cells`` tuple is derived on demand.  Steps are evaluated on packed
+states: each neighbor is a rotation of the ring, and the rule is applied to
+all cells at once by bitwise code compiled from its truth table.  Rows that
+``step`` and ``evolve`` produce stay packed and are not re-validated.
 """
 from __future__ import annotations
 
 import functools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, Union
@@ -122,21 +125,37 @@ class RuleAssignment:
         return cls(tuple(rules[i % len(rules)] for i in range(width)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Configuration:
-    """A ring of binary cells; cell indices wrap modulo the width."""
+    """A ring of binary cells; cell indices wrap modulo the width.
 
-    cells: tuple[int, ...]
+    Held packed, as one int with bit i = cell i plus the width; ``cells`` and
+    ``str()`` are derived from it.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.cells:
+    _state: int
+    width: int
+
+    def __init__(self, cells: Sequence[int]) -> None:
+        cells = tuple(cells)
+        if not cells:
             raise ValueError("configuration must contain at least one cell")
-        if any(bit not in (0, 1) for bit in self.cells):
+        if any(bit not in (0, 1) for bit in cells):
             raise ValueError("cells must be 0 or 1")
+        object.__setattr__(self, "_state", _pack(cells))
+        object.__setattr__(self, "width", len(cells))
+
+    @classmethod
+    def _packed(cls, state: int, width: int) -> "Configuration":
+        """A ring from a packed state the caller knows to fit ``width``; not validated."""
+        config = object.__new__(cls)
+        object.__setattr__(config, "_state", state)
+        object.__setattr__(config, "width", width)
+        return config
 
     @property
-    def width(self) -> int:
-        return len(self.cells)
+    def cells(self) -> tuple[int, ...]:
+        return _unpack(self._state, self.width)
 
     @classmethod
     def from_bits(cls, bits: str) -> "Configuration":
@@ -147,21 +166,32 @@ class Configuration:
 
     @classmethod
     def zeros(cls, width: int) -> "Configuration":
-        return cls((0,) * width)
+        return cls._packed(0, _checked_width(width))
 
     @classmethod
     def single(cls, width: int) -> "Configuration":
         """All zeros except a single 1 at the center cell (index (width-1)//2)."""
-        cells = [0] * width
-        cells[(width - 1) // 2] = 1
-        return cls(tuple(cells))
+        width = _checked_width(width)
+        return cls._packed(1 << (width - 1) // 2, width)
 
     @classmethod
     def random(cls, width: int, rng: random.Random) -> "Configuration":
-        return cls(tuple(rng.getrandbits(1) for _ in range(width)))
+        """Cell i is the i-th draw of ``rng.getrandbits(1)``."""
+        width = _checked_width(width)
+        return cls._packed(_pack([rng.getrandbits(1) for _ in range(width)]), width)
 
     def __str__(self) -> str:
-        return "".join(str(bit) for bit in self.cells)
+        return format(self._state, f"0{self.width}b")[::-1]
+
+    def __repr__(self) -> str:
+        return f"Configuration(cells={self.cells!r})"
+
+
+def _checked_width(width: int) -> int:
+    width = operator.index(width)
+    if width < 1:
+        raise ValueError("configuration must contain at least one cell")
+    return width
 
 
 @dataclass(frozen=True)
@@ -189,7 +219,7 @@ class SpaceTimeDiagram:
         """Values of one cell over time (the temporal sequence)."""
         if not 0 <= cell < self.width:
             raise ValueError(f"cell {cell} out of range for width {self.width}")
-        return tuple(row.cells[cell] for row in self.rows)
+        return tuple(row._state >> cell & 1 for row in self.rows)
 
 
 RuleLike = Union[Rule, RuleAssignment]
@@ -232,7 +262,7 @@ def _kernel(truth_table: tuple[int, ...]) -> Callable[..., int]:
 
 
 def _pack(cells: Sequence[int]) -> int:
-    return int(bytes(cells[::-1]).translate(_TO_DIGITS), 2)
+    return int(bytes(map(int, cells[::-1])).translate(_TO_DIGITS), 2)
 
 
 def _unpack(state: int, width: int) -> tuple[int, ...]:
@@ -259,7 +289,7 @@ def _states(config: Configuration, rule: RuleLike, steps: int) -> Iterator[int]:
         parts = [(_kernel(rule.truth_table), mask)]
     # the operand for offset o holds cell i+o at bit i: the state rotated right by o
     shifts = [offset % width for offset in range(-rule.radius, rule.radius + 1)]
-    state = _pack(config.cells)
+    state = config._state
     yield state
     for _ in range(steps):
         operands = [((state >> k) | (state << (width - k))) & mask for k in shifts]
@@ -272,7 +302,7 @@ def _states(config: Configuration, rule: RuleLike, steps: int) -> Iterator[int]:
 def step(config: Configuration, rule: RuleLike) -> Configuration:
     """Advance the ring one time step under a rule or a per-cell assignment."""
     *_, state = _states(config, rule, 1)
-    return Configuration(_unpack(state, config.width))
+    return Configuration._packed(state, config.width)
 
 
 step_nonuniform = step
@@ -283,7 +313,7 @@ def evolve(config: Configuration, rule: RuleLike, steps: int) -> SpaceTimeDiagra
     if steps < 0:
         raise ValueError("steps must be >= 0")
     states = _states(config, rule, steps)
-    return SpaceTimeDiagram(tuple(Configuration(_unpack(state, config.width)) for state in states))
+    return SpaceTimeDiagram(tuple(Configuration._packed(state, config.width) for state in states))
 
 
 def temporal_sequence(config: Configuration, rule: RuleLike, cell: int, length: int) -> tuple[int, ...]:

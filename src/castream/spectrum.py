@@ -190,6 +190,8 @@ class ScanReport:
     rows: tuple[RuleScan, ...]
 
     def row(self, rule: int) -> RuleScan:
+        if not 0 <= rule < len(self.rows):
+            raise ValueError(f"rule number {rule} out of range 0..{len(self.rows) - 1}")
         return self.rows[rule]
 
     def balanced_rules(self) -> tuple[int, ...]:

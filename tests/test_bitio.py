@@ -1,7 +1,10 @@
 """Stream encodings and diagram renderers."""
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from castream.bitio import (
     diagram_pbm,
@@ -12,6 +15,26 @@ from castream.bitio import (
     unpack_bits,
 )
 from castream.engine import Configuration, evolve, rule_from_number
+
+bit_tuples = st.lists(st.integers(0, 1), max_size=300).map(tuple)
+# ASCII, Latin-1 and Unicode characters for which str.isspace holds
+whitespace = st.lists(st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000"))
+
+
+def reference_pack(bits):
+    """Per-bit packer: MSB first, final byte zero-padded."""
+    out = bytearray((len(bits) + 7) // 8)
+    for i, bit in enumerate(bits):
+        if bit:
+            out[i >> 3] |= 0x80 >> (i & 7)
+    return bytes(out)
+
+
+def reference_text(diagram):
+    """Per-cell renderers: one row of digits per line, and a P1 bitmap."""
+    rows = ["".join(str(b) for b in row.cells) for row in diagram.rows]
+    pbm = ["P1", f"{diagram.width} {len(diagram.rows)}"] + [" ".join(row) for row in rows]
+    return "\n".join(rows) + "\n", "\n".join(pbm) + "\n"
 
 
 def test_parse_ignores_whitespace():
@@ -59,3 +82,34 @@ def test_diagram_pbm_header_and_pixels():
     assert lines[1] == "3 2"
     assert lines[2] == "0 1 0"
     assert len(lines) == 4
+
+
+@given(bits=bit_tuples)
+def test_codecs_match_per_bit_reference_and_round_trip(bits):
+    packed = pack_bits(bits)
+    assert packed == reference_pack(bits)
+    assert unpack_bits(packed, len(bits)) == bits
+    assert format_bits(bits) == "".join(str(b) for b in bits) + "\n"
+    assert parse_bits(format_bits(bits)) == bits
+
+
+@given(data=st.binary(max_size=40), drop=st.integers(0, 7), gaps=whitespace)
+def test_unpack_and_parse_skip_padding_and_whitespace(data, drop, gaps):
+    count = max(0, 8 * len(data) - drop)
+    bits = unpack_bits(data, count)
+    assert bits == tuple((data[i >> 3] >> (7 - (i & 7))) & 1 for i in range(count))
+    text = "".join(gaps[i % len(gaps)] + str(b) if gaps else str(b) for i, b in enumerate(bits))
+    assert parse_bits(text + "".join(gaps)) == bits
+
+
+@pytest.mark.parametrize("text, bad", [("01x1", "x"), ("0\u3000x\u00b2", "x"), ("0 1\u00b2", "\u00b2"), ("1\ud8000", "\ud800"), ("\u0661", "\u0661")])
+def test_parse_names_the_first_invalid_character(text, bad):
+    with pytest.raises(ValueError, match=re.escape(f"invalid character {bad!r} ")):
+        parse_bits(text)
+
+
+@given(number=st.integers(0, 255), width=st.integers(3, 70), steps=st.integers(0, 8), seed=st.integers(0, 2**32))
+@settings(max_examples=100)
+def test_diagrams_match_per_cell_renderers(number, width, steps, seed):
+    diagram = evolve(Configuration.random(width, random.Random(seed)), rule_from_number(number), steps)
+    assert (diagram_text(diagram), diagram_pbm(diagram)) == reference_text(diagram)

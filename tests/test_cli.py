@@ -200,6 +200,14 @@ def test_scan_reproduces_reference_table(capsys):
     )
 
 
+@pytest.mark.parametrize("only", ["300", "30,256", "-1"])
+def test_scan_rejects_rule_numbers_outside_0_255(capsys, only):
+    code, out, err = run(capsys, "scan", "--orders", "1", "--only", only)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "out of range 0..255" in err
+
+
 def test_classify_rule_30(capsys):
     code, out, _ = run(capsys, "classify", "--rule", "30")
     assert code == EXIT_OK
@@ -244,6 +252,14 @@ def test_attack_prints_defaulted_budget_and_seed(capsys):
     assert code == EXIT_OK
     assert "seed = 0" in out
     assert "max_trials = 1024" in out
+
+
+@pytest.mark.parametrize("sequence", ["", "0", "01"])
+def test_attack_rejects_sequences_shorter_than_3(capsys, sequence):
+    code, out, err = run(capsys, "attack", "--sequence", sequence)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "observed sequence must contain at least 3 values" in err
 
 
 def test_fips_zero_stream_fails(tmp_path, capsys):

@@ -1,4 +1,5 @@
 """Ring evolution against hand-checkable cases and a brute-force reference."""
+import dataclasses
 import random
 
 import pytest
@@ -294,8 +295,54 @@ def test_configuration_validation():
         Configuration((0, 2, 1))
     with pytest.raises(ValueError):
         Configuration.from_bits("01a1")
+    for build in (Configuration.zeros, Configuration.single, lambda w: Configuration.random(w, random.Random(0))):
+        for width in (0, -3):
+            with pytest.raises(ValueError):
+                build(width)
 
 
 def test_configuration_single_is_centered():
     assert Configuration.single(8).cells == (0, 0, 0, 1, 0, 0, 0, 0)
     assert Configuration.single(5).cells == (0, 0, 1, 0, 0)
+
+
+@given(cells=st.lists(st.integers(0, 1), min_size=1, max_size=200).map(tuple))
+def test_configuration_holds_cells_and_text(cells):
+    config = Configuration(cells)
+    assert config.cells == cells
+    assert config.width == len(cells)
+    assert str(config) == "".join(str(bit) for bit in cells)
+    assert Configuration.from_bits(str(config)) == config
+    assert config != Configuration(cells + (0,))  # same packed int, one cell wider
+
+
+@given(radius=st.sampled_from((1, 2)), steps=st.integers(0, 6), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_engine_rows_equal_and_hash_as_rebuilt_configurations(radius, steps, data):
+    cells = data.draw(rings(2 * radius + 1))
+    rule = rule_from_number(data.draw(rule_numbers(radius)), radius)
+    diagram = evolve(Configuration(cells), rule, steps)
+    rows = (*diagram.rows, step(Configuration(cells), rule))
+    for row in rows:
+        rebuilt = Configuration(row.cells)
+        assert row == rebuilt and hash(row) == hash(rebuilt)
+    for cell in range(len(cells)):
+        assert diagram.column(cell) == tuple(row.cells[cell] for row in diagram.rows)
+
+
+@pytest.mark.parametrize("name", ["cells", "width"])
+def test_configuration_is_immutable(name):
+    for config in (Configuration((0, 1, 1)), step(Configuration((0, 1, 1)), rule_from_number(30))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, 0)
+
+
+@given(width=st.integers(1, 200), seed=st.integers(0, 2**32))
+def test_named_configurations_keep_their_cells_and_draw_order(width, seed):
+    single = [0] * width
+    single[(width - 1) // 2] = 1
+    assert Configuration.zeros(width).cells == (0,) * width
+    assert Configuration.single(width).cells == tuple(single)
+    rng, reference = random.Random(seed), random.Random(seed)
+    assert Configuration.random(width, rng).cells == tuple(reference.getrandbits(1) for _ in range(width))
+    assert rng.getrandbits(32) == reference.getrandbits(32)
