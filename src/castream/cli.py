@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from . import bitio
 from .algebra import affine_decomposition, conjugate, conjugate_reflect, equivalence_class, reflect
@@ -38,6 +40,7 @@ EXIT_EXHAUSTED = 4
 EXIT_TEST_FAILED = 5
 
 DEFAULT_MAX_WIDTH = 1 << 20  # memory cap for ring widths; raise with --max-width
+CSV_CHUNK_ROWS = 1 << 16  # spectrum rows formatted and written at a time
 
 Bits = tuple[int, ...]
 
@@ -88,12 +91,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write one string, or each string of an iterable in turn."""
+    chunks = (text,) if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
 
 
 def _emit_stream(bits: Bits, fmt: str, out: str | None) -> None:
@@ -155,12 +160,20 @@ def _cmd_xor(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _spectrum_csv(values: np.ndarray) -> Iterator[str]:
+    """``omega,value`` lines, formatted ``CSV_CHUNK_ROWS`` rows at a time."""
+    yield "omega,value\n"
+    for start in range(0, len(values), CSV_CHUNK_ROWS):
+        chunk = values[start : start + CSV_CHUNK_ROWS]
+        rows = np.stack((np.arange(start, start + len(chunk)), chunk), axis=1)
+        # one %-format over the whole chunk: about half the time of a per-row f-string
+        yield "%d,%d\n" * len(chunk) % tuple(rows.ravel().tolist())
+
+
 def cmd_spectrum(args: argparse.Namespace) -> int:
     rule = Rule.from_number(args.rule, args.radius)
     spectrum = walsh_transform(iterate_rule(rule, args.order))
-    lines = ["omega,value"]
-    lines += [f"{omega},{value}" for omega, value in enumerate(spectrum.values)]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_spectrum_csv(spectrum.array), args.out)
     return EXIT_OK
 
 

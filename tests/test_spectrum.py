@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from castream.cli import main
 from castream.engine import rule_from_number
 from castream.spectrum import (
     BooleanFunction,
+    WalshSpectrum,
     correlation_bias,
     correlation_immunity_order,
     is_balanced,
@@ -291,3 +293,146 @@ def test_scan_to_order_5_stays_desk_scale():
     start = time.perf_counter()
     scan_rules(range(1, 6))
     assert time.perf_counter() - start < 60
+
+
+def reference_score(rule, order):
+    """Oracle: the minmax score read off the full transform."""
+    f = iterate_rule(rule, order)
+    values = walsh_transform(f).values
+    cfg, val = 0, 0
+    for k in range(f.n):
+        magnitude = abs(values[1 << k])
+        if magnitude >= val and magnitude > 0:
+            cfg, val = 1 << k, magnitude
+    return cfg, val
+
+
+def reference_immunity_order(values):
+    """Oracle: the Xiao-Massey test, one mask at a time."""
+    n = len(values).bit_length() - 1
+    weights = [bin(omega).count("1") for omega in range(1, len(values)) if values[omega]]
+    return min(weights) - 1 if weights else n
+
+
+@given(
+    case=st.one_of(
+        st.tuples(st.just(1), st.integers(0, 255), st.integers(1, 8)),
+        st.tuples(st.just(2), st.integers(0, (1 << 32) - 1), st.integers(1, 5)),
+    )
+)
+@settings(max_examples=40, deadline=None)
+def test_minmax_score_matches_transform_reference(case):
+    radius, number, order = case
+    rule = rule_from_number(number, radius)
+    assert minmax_score(rule, order) == reference_score(rule, order)
+
+
+def test_minmax_score_matches_transform_reference_on_balanced_rules():
+    for number in scan_rules([1]).balanced_rules():
+        rule = rule_from_number(number)
+        for order in range(1, 6):
+            assert minmax_score(rule, order) == reference_score(rule, order)
+
+
+@given(
+    n=st.integers(1, 8),
+    linear=st.integers(0, 255),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_correlation_immunity_order_matches_per_mask_reference(n, linear, seed):
+    # parity over the variables in ``linear`` XOR a random function of the
+    # others is immune to order at least |linear| - 1
+    linear &= (1 << n) - 1
+    rng = random.Random(seed)
+    rest = [rng.getrandbits(1) for _ in range(1 << n)]
+    table = tuple(bin(x & linear).count("1") & 1 ^ rest[x & ~linear] for x in range(1 << n))
+    f = BooleanFunction(table)
+    order = correlation_immunity_order(f)
+    assert order == reference_immunity_order(naive_walsh(table))
+    assert order >= bin(linear).count("1") - 1
+
+
+@given(table=st.integers(1, 9).flatmap(lambda n: st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n)))
+@settings(max_examples=100, deadline=None)
+def test_boolean_function_round_trips_through_its_packed_table(table):
+    f = BooleanFunction(table)
+    assert f.truth_table == tuple(table)
+    assert f.n == len(table).bit_length() - 1
+    packed = sum(bit << x for x, bit in enumerate(table))
+    assert f == BooleanFunction._packed(packed, f.n)
+    assert hash(f) == hash(BooleanFunction._packed(packed, f.n))
+    assert BooleanFunction(f.truth_table) == f
+    assert BooleanFunction(tuple(table) + (0,) * len(table)) != f  # same packed int, one variable more
+    assert repr(f) == f"BooleanFunction(truth_table={tuple(table)!r})"
+    assert is_balanced(f) == (2 * sum(table) == len(table))
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ((), "power of two"),
+        ((1,), "power of two"),
+        ((0, 1, 0), "power of two"),
+        ((0,) * 6, "power of two"),
+        ((0, 2), "0 or 1"),
+        ((0, 1, -1, 0), "0 or 1"),
+        (("0", "1"), "0 or 1"),
+    ],
+)
+def test_boolean_function_validation(table, message):
+    with pytest.raises(ValueError, match=message):
+        BooleanFunction(table)
+
+
+def test_boolean_function_is_immutable():
+    f = BooleanFunction((0, 1))
+    with pytest.raises(AttributeError):
+        f.n = 2
+
+
+@given(table=st.integers(1, 8).flatmap(lambda n: st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n)))
+@settings(max_examples=60, deadline=None)
+def test_spectrum_values_are_a_tuple_equal_to_the_defining_sum(table):
+    spectrum = walsh_transform(BooleanFunction(table))
+    assert type(spectrum.values) is tuple
+    assert all(type(v) is int for v in spectrum.values)
+    assert spectrum.values == naive_walsh(table)
+    assert spectrum.n == len(table).bit_length() - 1
+    assert spectrum == WalshSpectrum(naive_walsh(table))
+
+
+def test_spectrum_array_is_read_only():
+    spectrum = walsh_transform(iterate_rule(rule_from_number(30), 2))
+    with pytest.raises(ValueError):
+        spectrum.array[0] = 1
+    given_values = np.zeros(4, dtype=np.int64)
+    held = WalshSpectrum(given_values)
+    given_values[0] = 5  # the caller's array stays writable; the view does not
+    with pytest.raises(ValueError):
+        held.array[1] = 1
+
+
+@pytest.mark.parametrize(
+    "rule, radius, order",
+    [(30, 1, 1), (0, 1, 3), (90, 1, 4), (30, 1, 8), (110, 1, 8), (869020563, 2, 3), (1436965290, 2, 4)],
+)
+def test_spectrum_csv_matches_per_row_renderer(tmp_path, capsys, rule, radius, order):
+    # 30 and 110 at order 8 have 2^17 rows, more than one written chunk
+    values = walsh_transform(iterate_rule(rule_from_number(rule, radius), order)).values
+    expected = "\n".join(["omega,value"] + [f"{omega},{value}" for omega, value in enumerate(values)]) + "\n"
+    argv = ["spectrum", "--rule", str(rule), "--radius", str(radius), "--order", str(order)]
+    assert main(argv) == 0
+    assert first_difference(capsys.readouterr().out, expected) is None
+    path = tmp_path / "spectrum.csv"
+    assert main(argv + ["--out", str(path)]) == 0
+    assert first_difference(path.read_bytes().decode(), expected) is None
+
+
+def first_difference(text, expected):
+    """None when equal, else the first differing line (a diff of megabytes would take minutes)."""
+    if text == expected:
+        return None
+    lines, want = text.split("\n"), expected.split("\n")
+    index = next((i for i, (a, b) in enumerate(zip(lines, want)) if a != b), min(len(lines), len(want)))
+    return index, lines[index : index + 1], want[index : index + 1]
