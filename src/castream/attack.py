@@ -15,6 +15,13 @@ guessed:
   the inverse relation ``a = next_center XOR g(center, right)`` and reads
   the candidate key off the time-0 row.
 
+Both passes are calls of the one rule kernel (``engine._kernel``) on packed
+ints.  The right triangle is held as rows (bit j = offset j), one kernel call
+per row.  The left triangle is held as columns (bit k = time k): a cell of
+column ``-m`` needs only columns ``-(m-1)`` and ``-(m-2)``, never its own
+column, so backward completion is parallel over time, one kernel call per
+column, with a zero left operand for ``g(b, c) = f(0, b, c)``.
+
 Coordinates: ``value(k, j)`` is the cell at time ``k`` and offset ``j``
 relative to the tap cell; the observed sequence is the column at offset 0,
 the time-0 row spans offsets ``-(N-1) .. N-1``, and on the ring of width N
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .engine import Configuration, Rule, temporal_sequence
+from .engine import Configuration, Rule, _kernel, _pack, temporal_sequence
 
 __all__ = [
     "PartialDiagram",
@@ -69,11 +76,6 @@ def _require_attackable(rule: Rule) -> None:
         raise ValueError(f"rule {rule.number} is not left-permutive")
 
 
-def _inner_table(rule: Rule) -> tuple[int, ...]:
-    # g(b, c) = f(0, b, c); for left-permutive rules f(a, b, c) = a XOR g(b, c).
-    return tuple(rule.truth_table[(b << 1) | c] for b in (0, 1) for c in (0, 1))
-
-
 def _check_bits(name: str, bits: Sequence[int]) -> None:
     if any(bit not in (0, 1) for bit in bits):
         raise ValueError(f"{name} must contain only 0/1 values")
@@ -88,49 +90,39 @@ def backward_step(rule: Rule, next_center: int, center: int, right: int) -> int:
 
 @dataclass
 class PartialDiagram:
-    """Triangular space-time window around an observed column; None = unknown.
+    """Triangular space-time window around an observed column, held packed.
 
-    Row k of a width-N diagram can hold offsets ``-(N-1-k) .. N-1-k``; cells
-    are filled by the completion passes and never overwritten.
+    Row k of a width-N diagram spans offsets ``-(N-1-k) .. N-1-k``.  The
+    right half (offsets >= 0) is ``rows``, bit j of ``rows[k]`` = offset j;
+    the left half is ``columns``, bit k of ``columns[m]`` = offset -m at time
+    k, with ``columns[0]`` the observed column.  A half is None until its
+    completion pass has filled it.
     """
 
     width: int
-    grid: list[list[Optional[int]]]
+    rows: Optional[tuple[int, ...]]
+    columns: Optional[tuple[int, ...]]
 
     @classmethod
     def blank(cls, width: int) -> "PartialDiagram":
-        return cls(width, [[None] * (2 * width - 1) for _ in range(width)])
+        return cls(width, None, None)
 
-    def _column(self, time: int, offset: int) -> int:
+    def value(self, time: int, offset: int) -> Optional[int]:
         if not 0 <= time < self.width:
             raise ValueError(f"time {time} outside diagram of width {self.width}")
         if abs(offset) + time > self.width - 1:
             raise ValueError(f"offset {offset} outside the triangle at time {time}")
-        return offset + self.width - 1
-
-    def value(self, time: int, offset: int) -> Optional[int]:
-        return self.grid[time][self._column(time, offset)]
-
-    def known(self, time: int, offset: int) -> bool:
-        return self.value(time, offset) is not None
-
-    def set(self, time: int, offset: int, bit: int) -> None:
-        self.grid[time][self._column(time, offset)] = bit
-
-    def right_filled(self) -> bool:
-        return all(
-            self.grid[k][self.width - 1 + j] is not None
-            for k in range(self.width)
-            for j in range(self.width - k)
-        )
+        if offset >= 0:
+            return None if self.rows is None else self.rows[time] >> offset & 1
+        return None if self.columns is None else self.columns[-offset] >> time & 1
 
 
 def forward_completion(rule: Rule, observed: Sequence[int], right_guess: Sequence[int]) -> PartialDiagram:
     """Fill the right triangle from the observed column and a guessed segment.
 
-    Row 0 is seeded with ``(observed[0], *right_guess)`` at offsets
-    ``0 .. N-1``; each later row is one open-boundary step of the previous,
-    re-anchored at offset 0 by the observed value for that time.
+    Row 0 is ``(observed[0], *right_guess)`` at offsets ``0 .. N-1``; each
+    later row is one open-boundary step of the previous over offsets
+    ``1 .. N-1-k``, re-anchored at offset 0 by the observed value for that time.
     """
     _require_attackable(rule)
     n = len(observed)
@@ -140,42 +132,39 @@ def forward_completion(rule: Rule, observed: Sequence[int], right_guess: Sequenc
         raise ValueError(f"right guess must contain {n - 1} bits, got {len(right_guess)}")
     _check_bits("observed sequence", observed)
     _check_bits("right guess", right_guess)
-    table = rule.truth_table
-    diagram = PartialDiagram.blank(n)
-    row = [observed[0], *right_guess]
-    for j, bit in enumerate(row):
-        diagram.set(0, j, bit)
+    kernel = _kernel(rule.truth_table)
+    row = _pack((observed[0], *right_guess))
+    rows = [row]
     for k in range(1, n):
-        nxt = [observed[k]]
-        for j in range(1, n - k):
-            nxt.append(table[(row[j - 1] << 2) | (row[j] << 1) | row[j + 1]])
-        for j, bit in enumerate(nxt):
-            diagram.set(k, j, bit)
-        row = nxt
-    return diagram
+        inner = (1 << (n - k)) - 2
+        row = kernel(row << 1, row, row >> 1, inner) & inner | observed[k]
+        rows.append(row)
+    return PartialDiagram(n, tuple(rows), None)
 
 
 def backward_completion(rule: Rule, diagram: PartialDiagram) -> Configuration:
     """Fill the left triangle by inverting the rule's leftmost argument.
 
-    Column ``-j`` is derived top-down from column ``-(j-1)``; the time-0 row
-    then holds the key: offset ``-m`` is ring cell ``N - m``, so the returned
-    configuration carries the tap cell at index 0.
+    Column ``-m`` is one kernel call on columns ``-(m-1)`` and ``-(m-2)``;
+    bit 0 of each column is then a key cell: offset ``-m`` is ring cell
+    ``N - m``, so the returned configuration carries the tap cell at index 0.
     """
     _require_attackable(rule)
-    if not diagram.right_filled():
+    if diagram.rows is None:
         raise ValueError("right triangle is incomplete; run forward_completion first")
     n = diagram.width
-    g = _inner_table(rule)
-    for j in range(1, n):
-        for k in range(n - 1 - j, -1, -1):
-            center = diagram.value(k, -j + 1)
-            right = diagram.value(k, -j + 2)
-            next_center = diagram.value(k + 1, -j + 1)
-            diagram.set(k, -j, next_center ^ g[(center << 1) | right])
-    key = [diagram.value(0, 0)]
-    key += [diagram.value(0, m - n) for m in range(1, n)]
-    return Configuration(tuple(key))
+    kernel = _kernel(rule.truth_table)
+    center = sum((row & 1) << k for k, row in enumerate(diagram.rows))
+    right = sum((row >> 1 & 1) << k for k, row in enumerate(diagram.rows))
+    columns = [center]
+    for m in range(1, n):
+        mask = (1 << (n - m)) - 1
+        # a = next_center XOR g(center, right), with g(b, c) = f(0, b, c)
+        center, right = ((center >> 1) ^ kernel(0, center, right, mask)) & mask, center
+        columns.append(center)
+    diagram.columns = tuple(columns)
+    key = sum((column & 1) << (n - m) % n for m, column in enumerate(columns))
+    return Configuration._packed(key, n)
 
 
 @dataclass(frozen=True)
@@ -187,13 +176,12 @@ class AttackResult:
     matched_length: int
 
 
-def _trial_rng(seed: int, trial: int) -> random.Random:
-    # One independent, reproducible stream per trial.
-    return random.Random((seed << 48) + trial)
-
-
 def _draw_guess(seed: int, trial: int, length: int) -> Bits:
-    rng = _trial_rng(seed, trial)
+    # One independent, reproducible stream per trial.  Random(x) seeds from
+    # abs(x), so the seeds stay distinct only for seed >= 0 and trial < 2^48.
+    if seed < 0 or not 0 <= trial < 1 << 48:
+        raise ValueError(f"need seed >= 0 and 0 <= trial < 2^48, got seed {seed}, trial {trial}")
+    rng = random.Random((seed << 48) + trial)
     return tuple(rng.getrandbits(1) for _ in range(length))
 
 

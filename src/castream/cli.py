@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -81,14 +81,23 @@ def _ring(args: argparse.Namespace, text: str, flag: str, named: tuple[str, ...]
     return Configuration.single(args.width) if text == "single" else Configuration.zeros(args.width)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, kind: str) -> Callable[[str], int]:
+    """An argparse type for integers >= ``low``; a failure names the flag (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_seed = _int_at_least(0, "non-negative")
 
 
 def _emit(text: str | Iterable[str], out: str | None) -> None:
@@ -281,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, help="ring width")
     p.add_argument("--steps", type=int, required=True, help="number of time steps")
     p.add_argument("--init", required=True, help="single | zero | random | literal bits")
-    p.add_argument("--seed", type=int, help="seed for --init random")
+    p.add_argument("--seed", type=_seed, help="seed for --init random")
     p.add_argument("--format", choices=("text", "pbm"), default="text")
     p.add_argument("--max-width", type=_positive_int, default=DEFAULT_MAX_WIDTH, help="ring width cap")
     p.add_argument("--out", help="output path (default stdout)")
@@ -291,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rule_flags(p)
     p.add_argument("--width", type=int, help="ring width")
     p.add_argument("--key", required=True, help="literal bits | random | zero")
-    p.add_argument("--seed", type=int, help="seed for --key random")
+    p.add_argument("--seed", type=_seed, help="seed for --key random")
     p.add_argument("--cell", type=int, default=0, help="tap cell index")
     p.add_argument("--length", type=int, required=True, help="number of keystream bits")
     p.add_argument("--burn-in", type=int, default=0, help="steps discarded before output")
@@ -338,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, help="ring width (defaults to the sequence length)")
     p.add_argument("--sequence", required=True, help="observed tap-cell bits, oldest first")
     p.add_argument("--max-trials", type=int, help="trial budget (default 64 * 2^(N-1))")
-    p.add_argument("--seed", type=int, default=0, help="guess-stream seed")
+    p.add_argument("--seed", type=_seed, default=0, help="guess-stream seed")
     p.add_argument("--transcript", help="write per-trial audit lines to this path")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_attack)

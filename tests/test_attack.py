@@ -3,9 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from castream.attack import (
+    PartialDiagram,
     TrialsExhaustedError,
+    _draw_guess,
     attack,
     backward_completion,
     backward_step,
@@ -21,6 +25,34 @@ OBSERVED = (0, 0, 1, 0, 0)  # tap sequence of key (0,1,0,1,1) under rule 30
 
 def left_permutive_rules():
     return [rule_from_number(n) for n in range(256) if is_left_permutive(rule_from_number(n))]
+
+
+def reference_forward_completion(rule, observed, right_guess):
+    """Per-cell reference: the right triangle in a None-filled grid, grid[k][j + N - 1] = offset j."""
+    n = len(observed)
+    table = rule.truth_table
+    grid = [[None] * (2 * n - 1) for _ in range(n)]
+    row = [observed[0], *right_guess]
+    for k in range(n):
+        if k:
+            row = [observed[k]] + [table[(row[j - 1] << 2) | (row[j] << 1) | row[j + 1]] for j in range(1, n - k)]
+        grid[k][n - 1 : 2 * n - 1 - k] = row
+    return grid
+
+
+def reference_backward_completion(rule, grid):
+    """Per-cell reference: fill the left triangle of the grid top-down by columns; return the key."""
+    n = len(grid)
+    g = rule.truth_table[:4]  # g(b, c) = f(0, b, c)
+    for j in range(1, n):
+        for k in range(n - 1 - j, -1, -1):
+            c = n - 1 - j
+            grid[k][c] = grid[k + 1][c + 1] ^ g[(grid[k][c + 1] << 1) | grid[k][c + 2]]
+    return (grid[0][n - 1], *(grid[0][m - 1] for m in range(1, n)))
+
+
+def triangle(n):
+    return [(k, j) for k in range(n) for j in range(-(n - 1 - k), n - k)]
 
 
 def check_local_relations(rule, diagram):
@@ -151,9 +183,40 @@ def test_backward_completion_fills_consistent_left_triangle():
         )
 
 
-def test_backward_completion_requires_filled_right_triangle():
-    from castream.attack import PartialDiagram
+@given(rule=st.sampled_from(left_permutive_rules()), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_completions_match_per_cell_reference(rule, data):
+    n = data.draw(st.integers(2, 40))
+    bits = st.integers(0, 1)
+    observed = tuple(data.draw(st.lists(bits, min_size=n, max_size=n)))
+    guess = tuple(data.draw(st.lists(bits, min_size=n - 1, max_size=n - 1)))
+    grid = reference_forward_completion(rule, observed, guess)
+    diagram = forward_completion(rule, observed, guess)
+    assert all(diagram.value(k, j) == grid[k][j + n - 1] for k, j in triangle(n) if j >= 0)
+    expected_key = reference_backward_completion(rule, grid)
+    assert backward_completion(rule, diagram).cells == expected_key
+    assert all(diagram.value(k, j) == grid[k][j + n - 1] for k, j in triangle(n))
+    # the packed halves hold no bits outside the triangle
+    assert all(row >> (n - k) == 0 for k, row in enumerate(diagram.rows))
+    assert all(column >> (n - m) == 0 for m, column in enumerate(diagram.columns))
 
+
+def test_partial_diagram_halves_read_none_until_filled():
+    n = len(OBSERVED)
+    blank = PartialDiagram.blank(n)
+    assert blank.width == n
+    assert all(blank.value(k, j) is None for k, j in triangle(n))
+    diagram = forward_completion(RULE_30, OBSERVED, (1, 0, 1, 1))
+    assert all((diagram.value(k, j) is None) == (j < 0) for k, j in triangle(n))
+    backward_completion(RULE_30, diagram)
+    assert all(diagram.value(k, j) in (0, 1) for k, j in triangle(n))
+    for time, offset in [(-1, 0), (n, 0), (0, n), (0, -n), (1, n - 1), (1, 1 - n), (n - 1, 1), (n - 1, -1)]:
+        for d in (blank, diagram):
+            with pytest.raises(ValueError):
+                d.value(time, offset)
+
+
+def test_backward_completion_requires_filled_right_triangle():
     with pytest.raises(ValueError):
         backward_completion(RULE_30, PartialDiagram.blank(5))
 
@@ -241,6 +304,19 @@ def test_attack_validates_input():
         attack(RULE_30, (0, 1), max_trials=4, seed=0)
     with pytest.raises(ValueError):
         attack(RULE_30, OBSERVED, max_trials=0, seed=0)
+
+
+def test_negative_seeds_and_trials_past_2_48_are_rejected():
+    # Random(x) seeds from abs(x), and (seed << 48) + trial carries into seed + 1 at trial 2^48
+    with pytest.raises(ValueError):
+        attack(RULE_30, OBSERVED, max_trials=4, seed=-1)
+    with pytest.raises(ValueError):
+        success_rate(RULE_30, OBSERVED, trials=4, seed=-1)
+    with pytest.raises(ValueError):
+        _draw_guess(5, 2**48, 16)
+    with pytest.raises(ValueError):
+        _draw_guess(-3, 0, 16)
+    assert len(_draw_guess(5, 2**48 - 1, 16)) == 16
 
 
 def test_success_rate_known_instance_is_one_half():

@@ -332,6 +332,19 @@ def test_width_cap_is_enforced_and_adjustable(capsys):
     assert out == "0000\n"
 
 
+def test_negative_seeds_are_usage_errors(capsys):
+    rejected = [
+        ("attack", "--sequence", "00100", "--seed", "-1"),
+        ("keystream", "--rule", "30", "--width", "8", "--key", "random", "--seed", "-1", "--length", "8"),
+        ("evolve", "--rule", "30", "--width", "8", "--init", "random", "--seed", "-1", "--steps", "1"),
+    ]
+    for argv in rejected:
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        assert excinfo.value.code == EXIT_USAGE, argv
+        assert "--seed" in capsys.readouterr().err, argv
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
