@@ -6,7 +6,8 @@ sequences: conjugation (complement every cell state) and reflection
 the 256 elementary rules into classes of one to four members.
 
 ``affine_decomposition`` reports *affine* structure, i.e. an XOR of a
-subset of neighborhood variables plus an optional constant 1; rules such
+subset of neighborhood variables plus an optional constant 1: algebraic
+degree at most 1, read off the rule's algebraic normal form.  Rules such
 as 105 (all three variables XORed, then complemented) count as affine even
 though they are not linear in the strict constant-free sense.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Rule
+from .engine import Rule, _anf
 
 __all__ = [
     "AffineDecomposition",
@@ -77,15 +78,10 @@ class AffineDecomposition:
 
 
 def affine_decomposition(rule: Rule) -> AffineDecomposition:
-    """Exhaustively match the truth table against every affine candidate."""
-    n = rule.neighborhood_size
-    for mask in range(1 << n):
-        for constant in (0, 1):
-            if all(
-                rule.truth_table[x] == constant ^ (bin(x & mask).count("1") & 1)
-                for x in range(1 << n)
-            ):
-                # mask bit n-1 selects the leftmost neighborhood cell
-                bits = tuple((mask >> (n - 1 - j)) & 1 for j in range(n))
-                return AffineDecomposition(True, bits, constant)
-    return AffineDecomposition(False)
+    """Affine iff no monomial of the algebraic normal form has degree >= 2."""
+    anf = _anf(rule.truth_table)
+    # ANF bit 0 is the constant and bit 2^v variable v; the leftmost neighbor is the highest v
+    variables = [1 << v for v in reversed(range(rule.neighborhood_size))]
+    if anf & ~sum(1 << x for x in [0, *variables]):
+        return AffineDecomposition(False)
+    return AffineDecomposition(True, tuple(anf >> x & 1 for x in variables), anf & 1)

@@ -1,7 +1,8 @@
 """Known-plaintext key recovery against left-permutive ring generators.
 
 A rule is *left-permutive* when flipping the leftmost neighborhood cell
-always flips the output, i.e. it has the form ``f(a, b, c) = a XOR g(b, c)``.
+always flips the output, i.e. it has the form ``f(a, b, c) = a XOR g(b, c)``:
+in its algebraic normal form ``a`` occurs only as a monomial of its own.
 Rule 30 is the canonical example.  For such rules the left neighbor is
 recoverable from the cell's own transition, which turns N observed tap
 values into the whole space-time triangle once a single adjacent column is
@@ -20,7 +21,8 @@ ints.  The right triangle is held as rows (bit j = offset j), one kernel call
 per row.  The left triangle is held as columns (bit k = time k): a cell of
 column ``-m`` needs only columns ``-(m-1)`` and ``-(m-2)``, never its own
 column, so backward completion is parallel over time, one kernel call per
-column, with a zero left operand for ``g(b, c) = f(0, b, c)``.
+column, with a zero left operand for ``g(b, c) = f(0, b, c)``.  A key is
+verified on a lazily stepped ring, up to the first tap bit that differs.
 
 Coordinates: ``value(k, j)`` is the cell at time ``k`` and offset ``j``
 relative to the tap cell; the observed sequence is the column at offset 0,
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .engine import Configuration, Rule, _kernel, _pack, temporal_sequence
+from .engine import Configuration, Rule, _anf, _kernel, _pack, _states
 
 __all__ = [
     "PartialDiagram",
@@ -63,10 +65,8 @@ class TrialsExhaustedError(RuntimeError):
 
 
 def is_left_permutive(rule: Rule) -> bool:
-    """True iff flipping the leftmost neighborhood bit always flips the output."""
-    high = 1 << (rule.neighborhood_size - 1)
-    table = rule.truth_table
-    return all(table[x] != table[x ^ high] for x in range(high))
+    """True iff f = a XOR g(rest): the leftmost variable occurs in the ANF only on its own."""
+    return _anf(rule.truth_table) >> (1 << (rule.neighborhood_size - 1)) == 1
 
 
 def _require_attackable(rule: Rule) -> None:
@@ -200,7 +200,8 @@ def _trial(rule: Rule, observed: Bits, seed: int, trial: int) -> tuple[Bits, Con
     """One independent attempt: draw a guess, complete the key, verify it on the ring."""
     guess = _draw_guess(seed, trial, len(observed) - 1)
     key = backward_completion(rule, forward_completion(rule, observed, guess))
-    return guess, key, temporal_sequence(key, rule, 0, len(observed)) == observed
+    taps = (state & 1 for state in _states(key, rule, len(observed) - 1))
+    return guess, key, all(tap == bit for tap, bit in zip(taps, observed))
 
 
 def attack(

@@ -46,7 +46,7 @@ Bits = tuple[int, ...]
 
 
 def _build_rule(args: argparse.Namespace) -> RuleLike:
-    if getattr(args, "rules", None):
+    if args.rules:
         numbers = [int(n) for n in args.rules.split(",") if n]
         if not numbers:
             raise ValueError("--rules must list at least one rule number")
@@ -206,7 +206,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     rule = Rule.from_number(args.rule)
     f = iterate_rule(rule, 1)
-    decomposition = affine_decomposition(rule)
     lines = [
         f"rule = {rule.number}",
         f"class = {','.join(str(m) for m in sorted(equivalence_class(rule)))}",
@@ -214,7 +213,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         f"reflected = {reflect(rule).number}",
         f"conjugate_reflected = {conjugate_reflect(rule).number}",
         f"balanced = {str(is_balanced(f)).lower()}",
-        f"affine = {str(decomposition.is_affine).lower()}",
+        f"affine = {str(affine_decomposition(rule).is_affine).lower()}",
         f"correlation_immunity = {correlation_immunity_order(f)}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
@@ -239,12 +238,12 @@ def cmd_attack(args: argparse.Namespace) -> int:
     try:
         result = attack(rule, observed, max_trials=max_trials, seed=args.seed, trace=trace)
     except TrialsExhaustedError as exc:
-        if args.transcript:
-            _emit("\n".join(transcript_lines) + "\n", args.transcript)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXHAUSTED
+        result = exc
     if args.transcript:
         _emit("\n".join(transcript_lines) + "\n", args.transcript)
+    if isinstance(result, TrialsExhaustedError):
+        print(f"error: {result}", file=sys.stderr)
+        return EXIT_EXHAUSTED
     lines = [
         f"seed = {args.seed}",
         f"max_trials = {max_trials}",
@@ -268,14 +267,13 @@ def cmd_fips(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_TEST_FAILED
 
 
-def _add_rule_flags(parser: argparse.ArgumentParser, nonuniform: bool = True) -> None:
+def _add_rule_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rule", type=int, help="rule number")
     parser.add_argument("--radius", type=int, default=1, choices=(1, 2), help="neighborhood radius")
-    if nonuniform:
-        parser.add_argument(
-            "--rules",
-            help="comma-separated per-cell rule numbers; the pattern is tiled around the ring",
-        )
+    parser.add_argument(
+        "--rules",
+        help="comma-separated per-cell rule numbers; the pattern is tiled around the ring",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,8 +10,10 @@ value is immutable once constructed.
 A configuration is held packed: the ring is one int with bit i = cell i,
 and its ``cells`` tuple is derived on demand.  Steps are evaluated on packed
 states: each neighbor is a rotation of the ring, and the rule is applied to
-all cells at once by bitwise code compiled from its truth table.  Rows that
-``step`` and ``evolve`` produce stay packed and are not re-validated.
+all cells at once by bitwise code compiled from its algebraic normal form
+(ANF), which ``algebra`` and ``attack`` also read to tell affine and
+left-permutive rules.  Rows that ``step`` and ``evolve`` produce stay packed
+and are not re-validated.
 """
 from __future__ import annotations
 
@@ -235,31 +237,46 @@ def apply_rule(rule: Rule, neighborhood: Sequence[int]) -> int:
     return rule.apply(neighborhood)
 
 
+@functools.lru_cache(maxsize=16)
+def _window(width: int) -> tuple[int, ...]:
+    """The window cells as 2^width-bit truth tables, leftmost first; cell c is
+    variable ``width - 1 - c``, as the leftmost neighbor is the index's top bit."""
+    state, count = [], 1
+    for _ in range(width):
+        state = [((1 << count) - 1) << count] + [v | v << count for v in state]
+        count *= 2
+    return tuple(state)
+
+
+@functools.lru_cache(maxsize=1024)
+def _anf(truth_table: tuple[int, ...]) -> int:
+    """The algebraic normal form, packed: bit x is the coefficient of the product
+    of the variables set in x.  A Moebius transform, one masked shift-XOR per variable."""
+    anf = _pack(truth_table)
+    for variable, ones in enumerate(reversed(_window(len(truth_table).bit_length() - 1))):
+        anf ^= anf << (1 << variable) & ones
+    return anf
+
+
 @functools.lru_cache(maxsize=1024)
 def _kernel(truth_table: tuple[int, ...]) -> Callable[..., int]:
     """Compile a truth table into bitwise code over packed operands.
 
     The compiled function takes one int per neighbor, leftmost first, and a
-    mask of ones over the packed width; bit k of its result is the table's
-    output for bit k of the operands.  It is a sum of products over the
-    rarer output value, complemented under the mask when that value is 0.
+    mask of ones over the packed width.  It is the algebraic normal form, an
+    XOR of ANDs of the operands with the mask as the constant 1, so bits
+    outside the mask are undefined: each caller masks the result or keeps
+    its operands inside the mask.
     """
-    size = len(truth_table)
-    arity = size.bit_length() - 1
-    value = 1 if 2 * sum(truth_table) <= size else 0
-    terms = []
-    for x in range(size):
-        if truth_table[x] == value:
-            literals = (f"x{j}" if x >> (arity - 1 - j) & 1 else f"n{j}" for j in range(arity))
-            terms.append("(" + " & ".join(literals) + ")")
-    body = " | ".join(terms) or "0"
-    negations = "".join(f"    n{j} = m ^ x{j}\n" for j in range(arity) if f"n{j}" in body)
-    result = body if value else f"m ^ ({body})"
+    arity = len(truth_table).bit_length() - 1
+    anf = _anf(truth_table)
+    terms = (
+        " & ".join(f"x{j}" for j in range(arity) if x >> (arity - 1 - j) & 1) or "m"
+        for x in range(len(truth_table))
+        if anf >> x & 1
+    )
     params = ", ".join(f"x{j}" for j in range(arity))
-    source = f"def kernel({params}, m):\n{negations}    return {result}\n"
-    namespace: dict = {}
-    exec(source, namespace)
-    return namespace["kernel"]
+    return eval(f"lambda {params}, m: {' ^ '.join(terms) or '0'}")
 
 
 def _pack(cells: Sequence[int]) -> int:

@@ -24,7 +24,6 @@ at 136 MB RSS.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -38,7 +37,7 @@ from .algebra import (
     equivalence_class,
     reflect,
 )
-from .engine import Rule, _kernel, _pack, _unpack
+from .engine import Rule, _kernel, _pack, _unpack, _window
 
 __all__ = [
     "BooleanFunction",
@@ -128,20 +127,6 @@ class WalshSpectrum:
 
     def __repr__(self) -> str:
         return f"WalshSpectrum(values={self.values!r})"
-
-
-@functools.lru_cache(maxsize=16)
-def _window(width: int) -> tuple[int, ...]:
-    """The window cells as 2^width-bit truth tables, leftmost first.
-
-    Each cell added on the left is the next higher bit of the function
-    index, so cell c is variable ``width - 1 - c``.
-    """
-    state, count = [], 1
-    for _ in range(width):
-        state = [((1 << count) - 1) << count] + [v | v << count for v in state]
-        count *= 2
-    return tuple(state)
 
 
 def iterate_rule(rule: Rule, order: int) -> BooleanFunction:

@@ -1,15 +1,54 @@
-"""Rule equivalences and affine structure, checked exhaustively."""
+"""Rule equivalences, affine and left-permutive structure, checked exhaustively."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from castream.algebra import (
+    AffineDecomposition,
     affine_decomposition,
     conjugate,
     conjugate_reflect,
     equivalence_class,
     reflect,
 )
-from castream.engine import rule_from_number
+from castream.attack import is_left_permutive
+from castream.engine import Rule, rule_from_number
 from castream.spectrum import is_balanced, iterate_rule
+
+def reference_affine_decomposition(rule):
+    """Independent oracle: match the table against every mask and constant."""
+    n = rule.neighborhood_size
+    for mask in range(1 << n):
+        for constant in (0, 1):
+            if all(
+                rule.truth_table[x] == constant ^ (bin(x & mask).count("1") & 1)
+                for x in range(1 << n)
+            ):
+                # mask bit n-1 selects the leftmost neighborhood cell
+                bits = tuple((mask >> (n - 1 - j)) & 1 for j in range(n))
+                return AffineDecomposition(True, bits, constant)
+    return AffineDecomposition(False)
+
+
+def reference_is_left_permutive(rule):
+    """Independent oracle: flipping the leftmost bit flips the output on every input."""
+    high = 1 << (rule.neighborhood_size - 1)
+    table = rule.truth_table
+    return all(table[x] != table[x ^ high] for x in range(high))
+
+
+@st.composite
+def radius_2_rules(draw):
+    """Radius-2 rules drawn at random, built affine, or built left-permutive as x0 ^ g."""
+    kind = draw(st.sampled_from(("random", "affine", "left-permutive")))
+    if kind == "random":
+        return rule_from_number(draw(st.integers(0, (1 << 32) - 1)), 2)
+    if kind == "affine":
+        mask, constant = draw(st.integers(0, 31)), draw(st.integers(0, 1))
+        return Rule(2, tuple(constant ^ (bin(x & mask).count("1") & 1) for x in range(32)))
+    g = draw(st.integers(0, (1 << 16) - 1))
+    return Rule(2, tuple(x >> 4 ^ g >> (x & 15) & 1 for x in range(32)))
+
 
 # conj / refl / conj-refl companions of the twelve interesting rules
 EQUIVALENCE_COLUMNS = {
@@ -182,3 +221,17 @@ def test_transforms_preserve_affinity():
         affine = affine_decomposition(rule).is_affine
         for image in (conjugate(rule), reflect(rule), conjugate_reflect(rule)):
             assert affine_decomposition(image).is_affine == affine
+
+
+def test_anf_readings_match_the_references_on_every_radius_1_rule():
+    for number in range(256):
+        rule = rule_from_number(number)
+        assert affine_decomposition(rule) == reference_affine_decomposition(rule), number
+        assert is_left_permutive(rule) == reference_is_left_permutive(rule), number
+
+
+@given(rule=radius_2_rules())
+@settings(max_examples=300, deadline=None)
+def test_anf_readings_match_the_references_on_radius_2_rules(rule):
+    assert affine_decomposition(rule) == reference_affine_decomposition(rule)
+    assert is_left_permutive(rule) == reference_is_left_permutive(rule)

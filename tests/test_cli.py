@@ -1,4 +1,5 @@
 """Command-line surface: flags, file formats, exit codes, determinism."""
+import hashlib
 import random
 
 import pytest
@@ -349,3 +350,56 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == EXIT_USAGE
+
+
+_KEY = ("--width", "64", "--key", "random", "--seed", "7", "--length", "5000")
+_RULES_30_86_101 = ("--rules", "30,86,101")
+_RADIUS_2 = ("--rule", "869020563", "--radius", "2")
+
+# The compatibility contract: exit code and sha256 of stdout (plus the --transcript file,
+# where one is written) for each group of commands, recorded with the sum-of-products kernel.
+PINNED_OUTPUTS = [
+    ([["keystream", "--rule", "30", *_KEY]], EXIT_OK,
+     "c11133e021df8daf30ea16d4729d3c7137f0984190425cc9543e5db1530b8363"),
+    ([["keystream", "--rule", "30", *_KEY, "--stream-format", "raw"]], EXIT_OK,
+     "45b484351c626281c90b324ba30a2bbae98ecfac79e84be34252ec97b674e39b"),
+    ([["keystream", *_RULES_30_86_101, *_KEY]], EXIT_OK,
+     "1e07f2a72265064eb4214e9080dfd2ed670020cff7d85e92f94449ddfb26f35b"),
+    ([["keystream", *_RULES_30_86_101, *_KEY, "--stream-format", "raw"]], EXIT_OK,
+     "00f703e5a64e496fe8c7badc9a2c6a6493bfb048bd8b3d87b4af0bd53f8544f7"),
+    ([["keystream", *_RADIUS_2, *_KEY]], EXIT_OK,
+     "a91297b37aa74dd3e845047fff2f4c5dd83edb7c900861962bf667b506112274"),
+    ([["keystream", *_RADIUS_2, *_KEY, "--stream-format", "raw"]], EXIT_OK,
+     "da0c435ddc55deac2e358c8a70c58cb70aaa6f4f3dcf85247a4ae167214e0090"),
+    ([["evolve", "--rule", "30", "--width", "64", "--steps", "48", "--init", "single"]], EXIT_OK,
+     "3ab2ee766b896cb3eb7d44373d6f1ef523692df865a1b296fe4cac31932d74e7"),
+    ([["evolve", "--rules", "90,105,150,165", "--width", "64", "--steps", "48", "--init", "random",
+       "--seed", "3", "--format", "pbm"]], EXIT_OK,
+     "ee5c2716904981faa45926d31b78b06963a4d3498a25799acbb82867b62f5e80"),
+    ([["scan", "--orders", "1..5"]], EXIT_OK,
+     "99ab5f4bf37891821553ac5e83d536bb87d41c292f4f0560926236cca2431c0d"),
+    ([["spectrum", "--rule", "30", "--order", "5"]], EXIT_OK,
+     "9154273f7d96ab4b1a56c8650673eeb2564e1cd67b1a21cdba9b857d3cdbe5bf"),
+    ([["spectrum", *_RADIUS_2, "--order", "3"]], EXIT_OK,
+     "cd367f2eb46d59db278360b6a212cd6f6d4158960202e50dce19a2e1496c04b1"),
+    ([["classify", "--rule", str(r)] for r in range(256)], EXIT_OK,
+     "69d4845351705e2a95b94e972f49b7152e0ddd4f31caf556616a03452e0827f7"),
+    ([["attack", "--seed", "0", "--sequence", "00100", "--transcript", "{transcript}"]], EXIT_OK,
+     "f37d3e9f4339ce58d59c36da60099bd85e23441362d293bd92c77b2c289e778e"),
+    ([["attack", "--seed", "1", "--sequence", "00100", "--max-trials", "1", "--transcript", "{transcript}"]],
+     EXIT_EXHAUSTED, "e39dd21e4784eac174f0a4ef3b44d4df3d51f54c246fdcba1f1da3e8d8d16075"),
+]
+
+
+def test_cli_output_is_pinned(capsysbinary, tmp_path):
+    transcript = tmp_path / "transcript.txt"
+    for commands, code, digest in PINNED_OUTPUTS:
+        data = hashlib.sha256()
+        for argv in commands:
+            argv = [arg.format(transcript=transcript) for arg in argv]
+            transcript.unlink(missing_ok=True)
+            assert main(argv) == code, argv
+            data.update(capsysbinary.readouterr().out)
+            if "--transcript" in argv:
+                data.update(transcript.read_bytes())
+        assert data.hexdigest() == digest, commands[0]

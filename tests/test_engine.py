@@ -10,6 +10,10 @@ from castream.engine import (
     Configuration,
     Rule,
     RuleAssignment,
+    _anf,
+    _kernel,
+    _pack,
+    _unpack,
     apply_rule,
     evolve,
     rule_from_number,
@@ -92,6 +96,28 @@ def test_apply_rule_30_equals_xor_or_identity():
 def test_apply_rule_rejects_wrong_length():
     with pytest.raises(ValueError):
         apply_rule(rule_from_number(30), (0, 1))
+
+
+def anf_test_rules():
+    """All 256 elementary rules, then radius-2 rules: 0, all ones, 869020563 and 200 drawn at random."""
+    rng = random.Random(2)
+    numbers = [0, (1 << 32) - 1, 869020563, *(rng.getrandbits(32) for _ in range(200))]
+    return [rule_from_number(n) for n in range(256)] + [rule_from_number(n, 2) for n in numbers]
+
+
+def test_anf_is_an_involution():
+    for rule in anf_test_rules():
+        anf = _anf(rule.truth_table)
+        assert _anf(_unpack(anf, len(rule.truth_table))) == _pack(rule.truth_table), rule
+
+
+def test_kernel_reproduces_the_truth_table_on_every_input():
+    # rules 0 and 255 compile to the constants 0 and m
+    for rule in anf_test_rules():
+        kernel, n = _kernel(rule.truth_table), rule.neighborhood_size
+        for x, bit in enumerate(rule.truth_table):
+            operands = [x >> (n - 1 - j) & 1 for j in range(n)]
+            assert kernel(*operands, 1) & 1 == bit, (rule, x)
 
 
 def test_step_single_cell():
