@@ -14,9 +14,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from . import bitio
 from .algebra import affine_decomposition, conjugate, conjugate_reflect, equivalence_class, reflect
@@ -32,6 +30,9 @@ from .spectrum import (
     scan_rules,
     walsh_transform,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -171,6 +172,7 @@ def _cmd_xor(args: argparse.Namespace) -> int:
 
 def _spectrum_csv(values: np.ndarray) -> Iterator[str]:
     """``omega,value`` lines, formatted ``CSV_CHUNK_ROWS`` rows at a time."""
+    import numpy as np
     yield "omega,value\n"
     for start in range(0, len(values), CSV_CHUNK_ROWS):
         chunk = values[start : start + CSV_CHUNK_ROWS]
@@ -187,10 +189,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _parse_orders(text: str) -> tuple[int, ...]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(p) for p in text.split(",") if p)
+    try:
+        if ".." in text:
+            lo, _, hi = text.partition("..")
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(p) for p in text.split(",") if p)
+    except ValueError:
+        raise ValueError(f"--orders must be lo..hi or a comma-separated list, got {text!r}") from None
 
 
 def cmd_scan(args: argparse.Namespace) -> int:

@@ -3,17 +3,18 @@
 Four tests run on a fixed-size sample: monobit (ones count), poker
 (chi-square-like statistic over 4-bit nibbles), runs (counts of maximal
 runs by length, both bit values), and long run (no run of 26 or more).
-Thresholds are configuration data loaded from a ``test.parameter = value``
-file, not constants baked into the test logic; the packaged defaults are
-transcribed from the published standard (see ``fips_thresholds.conf``).
+The battery needs no numpy: it turns a sample into ASCII ``0``/``1`` bytes
+once, and counts their ones, their hex digits (nibbles) and, once for runs
+and long run, their maximal runs.  Thresholds are configuration data loaded
+from a ``test.parameter = value`` file, not constants baked into the test
+logic; the defaults come from the standard (see ``fips_thresholds.conf``).
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, Sequence
-
-import numpy as np
 
 __all__ = [
     "SAMPLE_BITS",
@@ -29,6 +30,7 @@ __all__ = [
 
 SAMPLE_BITS = 20000
 RUN_LENGTHS = (1, 2, 3, 4, 5, 6)  # length 6 pools all runs of 6 or more
+_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -106,69 +108,69 @@ class TestReport:
         return "\n".join(lines) + "\n"
 
 
-def _as_sample(stream: Sequence[int]) -> np.ndarray:
-    arr = np.asarray(stream, dtype=np.uint8)
-    if arr.ndim != 1 or len(arr) != SAMPLE_BITS:
-        raise ValueError(f"stream must contain exactly {SAMPLE_BITS} bits, got {len(arr)}")
-    if np.any(arr > 1):
+def _as_sample(stream: Sequence[int]) -> bytes:
+    """The sample as 20000 ASCII ``0``/``1`` bytes, after checking its length and entries."""
+    # an array's buffer holds itemsize bytes a bit, and a 2-D array lists rows: read its list
+    values = stream.tolist() if hasattr(stream, "tolist") else stream
+    if len(values) != SAMPLE_BITS:
+        raise ValueError(f"stream must contain exactly {SAMPLE_BITS} bits, got {len(values)}")
+    try:
+        sample = bytes(values)
+    except (TypeError, ValueError):  # an entry that is no int in 0..255: rejected below
+        sample = b"\x02"
+    if sample.translate(None, b"\x00\x01"):
         raise ValueError("stream entries must be 0 or 1")
-    return arr
+    return sample.translate(_ASCII)
+
+
+def _run_counts(sample: bytes) -> tuple[Counter[int], ...]:
+    """Maximal runs of zeros, then of ones: length -> count (length 0 tallies empty split pieces)."""
+    return tuple(Counter(map(len, sample.split(other))) for other in (b"1", b"0"))
 
 
 def _pick(thresholds: Thresholds | None) -> Thresholds:
     return thresholds if thresholds is not None else Thresholds.default()
 
 
+def _strictly_inside(name: str, statistic: str, value: float, t: Thresholds) -> TestResult:
+    low, high = t[f"{name}.min"], t[f"{name}.max"]
+    return TestResult(name, low < value < high, {statistic: value}, {f"{name}.min": low, f"{name}.max": high})
+
+
 def monobit(stream: Sequence[int], thresholds: Thresholds | None = None) -> TestResult:
     """Ones count, strictly inside the configured interval."""
-    t = _pick(thresholds)
-    ones = int(_as_sample(stream).sum())
-    passed = t["monobit.min"] < ones < t["monobit.max"]
-    return TestResult(
-        "monobit",
-        passed,
-        {"ones": ones},
-        {"monobit.min": t["monobit.min"], "monobit.max": t["monobit.max"]},
-    )
+    return _monobit(_as_sample(stream), _pick(thresholds))
+
+
+def _monobit(sample: bytes, t: Thresholds) -> TestResult:
+    return _strictly_inside("monobit", "ones", sample.count(b"1"), t)
 
 
 def poker(stream: Sequence[int], thresholds: Thresholds | None = None) -> TestResult:
     """Nibble-frequency statistic X = (16/5000) * sum(f_i^2) - 5000, strict bounds."""
-    t = _pick(thresholds)
-    nibbles = _as_sample(stream).reshape(-1, 4) @ np.array([8, 4, 2, 1], dtype=np.int64)
-    counts = np.bincount(nibbles, minlength=16)
-    statistic = 16.0 * float(np.sum(counts * counts)) / (SAMPLE_BITS // 4) - (SAMPLE_BITS // 4)
-    passed = t["poker.min"] < statistic < t["poker.max"]
-    return TestResult(
-        "poker",
-        passed,
-        {"statistic": statistic},
-        {"poker.min": t["poker.min"], "poker.max": t["poker.max"]},
-    )
+    return _poker(_as_sample(stream), _pick(thresholds))
 
 
-def _run_lengths(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Maximal runs: values and lengths, in stream order.
-    boundaries = np.flatnonzero(np.diff(arr)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [len(arr)]))
-    return arr[starts], ends - starts
+def _poker(sample: bytes, t: Thresholds) -> TestResult:
+    nibbles = format(int(sample, 2), f"0{SAMPLE_BITS // 4}x")  # one hex digit a nibble, first bit high
+    square_sum = sum(nibbles.count(digit) ** 2 for digit in "0123456789abcdef")
+    statistic = 16.0 * square_sum / (SAMPLE_BITS // 4) - (SAMPLE_BITS // 4)
+    return _strictly_inside("poker", "statistic", statistic, t)
 
 
 def runs(stream: Sequence[int], thresholds: Thresholds | None = None) -> TestResult:
     """Counts of maximal runs per length (1..5, 6+) and bit value, closed intervals."""
-    t = _pick(thresholds)
-    values, lengths = _run_lengths(_as_sample(stream))
+    return _runs(_run_counts(_as_sample(stream)), _pick(thresholds))
+
+
+def _runs(run_counts: tuple[Counter[int], ...], t: Thresholds) -> TestResult:
     statistics: dict[str, float] = {}
     passed = True
-    for bit in (0, 1):
-        clipped = np.minimum(lengths[values == bit], RUN_LENGTHS[-1])
+    for bit, counts in enumerate(run_counts):
         for length in RUN_LENGTHS:
-            count = int(np.sum(clipped == length))
+            count = sum(n for run, n in counts.items() if min(run, RUN_LENGTHS[-1]) == length)
             statistics[f"bit{bit}.length{length}"] = count
-            low = t[f"runs.length{length}.min"]
-            high = t[f"runs.length{length}.max"]
-            if not low <= count <= high:
+            if not t[f"runs.length{length}.min"] <= count <= t[f"runs.length{length}.max"]:
                 passed = False
     bounds = {
         f"runs.length{i}.{side}": t[f"runs.length{i}.{side}"]
@@ -180,16 +182,18 @@ def runs(stream: Sequence[int], thresholds: Thresholds | None = None) -> TestRes
 
 def long_run(stream: Sequence[int], thresholds: Thresholds | None = None) -> TestResult:
     """Fails as soon as any run of either bit value reaches the configured limit."""
-    t = _pick(thresholds)
-    _, lengths = _run_lengths(_as_sample(stream))
-    longest = int(lengths.max())
+    return _long_run(_run_counts(_as_sample(stream)), _pick(thresholds))
+
+
+def _long_run(run_counts: tuple[Counter[int], ...], t: Thresholds) -> TestResult:
+    longest = max(max(counts) for counts in run_counts)
     passed = longest < t["long_run.limit"]
     return TestResult("long_run", passed, {"longest": longest}, {"long_run.limit": t["long_run.limit"]})
 
 
 def fips_battery(stream: Sequence[int], thresholds: Thresholds | None = None) -> TestReport:
-    """All four tests; the battery passes only if every test passes."""
+    """All four tests on one conversion of the stream; passes only if every test passes."""
     t = _pick(thresholds)
-    return TestReport(
-        (monobit(stream, t), poker(stream, t), runs(stream, t), long_run(stream, t))
-    )
+    sample = _as_sample(stream)
+    run_counts = _run_counts(sample)
+    return TestReport((_monobit(sample, t), _poker(sample, t), _runs(run_counts, t), _long_run(run_counts, t)))

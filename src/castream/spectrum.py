@@ -16,19 +16,17 @@ spectral value; both checks are exact integer computations here.
 A function is held as its packed truth table, one 2^n-bit int.  A single
 spectral value needs no transform: ``W(omega) = |F| - 2 |F and <x, omega>|``
 is two popcounts, which is how balancedness, the min-max scores and the
-bias are computed.  The full spectrum is one butterfly over an int64 array
-of 2^n entries.  ``MAX_TRANSFORM_VARIABLES`` caps that array at 2^24
-entries (128 MB); the largest function ``iterate_rule`` reaches has 23
-variables (rule 30 at order 11), where the CLI ``spectrum`` command peaks
-at 136 MB RSS.
+bias are computed, with no numpy.  The full spectrum is one butterfly over
+a numpy int64 array of 2^n entries; numpy is imported only where that array
+is made or read.  ``MAX_TRANSFORM_VARIABLES`` caps it at 2^24 entries
+(128 MB); the largest function ``iterate_rule`` reaches has 23 variables
+(rule 30 at order 11), where the CLI ``spectrum`` command peaks at 136 MB.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .algebra import (
     affine_decomposition,
@@ -38,6 +36,9 @@ from .algebra import (
     reflect,
 )
 from .engine import Rule, _kernel, _pack, _unpack, _window
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BooleanFunction",
@@ -105,6 +106,7 @@ class WalshSpectrum:
     array: np.ndarray
 
     def __init__(self, values: Iterable[int]) -> None:
+        import numpy as np
         array = np.asarray(values, dtype=np.int64).view()
         array.flags.writeable = False
         object.__setattr__(self, "array", array)
@@ -120,7 +122,7 @@ class WalshSpectrum:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WalshSpectrum):
             return NotImplemented
-        return np.array_equal(self.array, other.array)
+        return self.array.tobytes() == other.array.tobytes()  # both int64, as in __hash__
 
     def __hash__(self) -> int:
         return hash(self.array.tobytes())
@@ -155,6 +157,7 @@ def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
     """Exact integer spectrum via the in-place butterfly (n * 2^n adds)."""
     if f.n > MAX_TRANSFORM_VARIABLES:
         raise ValueError(f"function has {f.n} variables (max {MAX_TRANSFORM_VARIABLES})")
+    import numpy as np
     size = 1 << f.n
     packed = np.frombuffer(f._table.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
     a = np.unpackbits(packed, count=size, bitorder="little").astype(np.int64)
@@ -186,6 +189,7 @@ def is_balanced(f: BooleanFunction) -> bool:
 
 def correlation_immunity_order(f: BooleanFunction) -> int:
     """Largest k with a vanishing spectrum on all nonzero masks of weight <= k."""
+    import numpy as np
     values = walsh_transform(f).array
     weights = np.zeros(len(values), dtype=np.uint8)  # Hamming weight of each mask
     for k in range(f.n):
@@ -280,6 +284,8 @@ def scan_rules(orders: Iterable[int]) -> ScanReport:
         raise ValueError("at least one order is required")
     if any(not 1 <= o <= MAX_ITERATION_ORDER for o in order_list):
         raise ValueError(f"orders must lie in [1, {MAX_ITERATION_ORDER}]")
+    if len(set(order_list)) != len(order_list):
+        raise ValueError(f"orders must not repeat, got {','.join(map(str, order_list))}")
     rows = []
     for number in range(256):
         rule = Rule.from_number(number)

@@ -1,9 +1,14 @@
 """Command-line surface: flags, file formats, exit codes, determinism."""
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import castream
 from castream.cli import (
     EXIT_EXHAUSTED,
     EXIT_OK,
@@ -219,6 +224,22 @@ def test_scan_rejects_rule_numbers_outside_0_255(capsys, only):
     assert "out of range 0..255" in err
 
 
+@pytest.mark.parametrize("orders", ["1,1", "3,1,3", "2,1,2"])
+def test_scan_rejects_repeated_orders(capsys, orders):
+    code, out, err = run(capsys, "scan", "--orders", orders)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "orders must not repeat" in err
+
+
+@pytest.mark.parametrize("orders", ["1..x", "x..3", "1,x", "1.5"])
+def test_scan_names_the_flag_of_a_malformed_order(capsys, orders):
+    code, out, err = run(capsys, "scan", "--orders", orders)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: --orders must be lo..hi or a comma-separated list, got {orders!r}\n"
+
+
 def test_classify_rule_30(capsys):
     code, out, _ = run(capsys, "classify", "--rule", "30")
     assert code == EXIT_OK
@@ -403,3 +424,41 @@ def test_cli_output_is_pinned(capsysbinary, tmp_path):
             if "--transcript" in argv:
                 data.update(transcript.read_bytes())
         assert data.hexdigest() == digest, commands[0]
+
+
+# Commands that never run a Walsh transform, then the two that do.
+_NUMPY_FREE_COMMANDS = [
+    ["keystream", "--rule", "30", *_KEY[:-1], "20000", "--out", "ks.txt"],
+    ["encrypt", "--in", "ks.txt", "--key", "ks.txt", "--out", "ct.txt"],
+    ["decrypt", "--in", "ct.txt", "--key", "ks.txt", "--out", "pt.txt"],
+    ["fips", "--in", "ks.txt", "--out", "fips.txt"],
+    ["evolve", "--rule", "30", "--width", "64", "--steps", "8", "--init", "single", "--out", "ev.txt"],
+    ["scan", "--orders", "1..3", "--out", "scan.csv"],
+    ["attack", "--sequence", "00100", "--out", "attack.txt"],
+]
+_TRANSFORM_COMMANDS = [["spectrum", "--rule", "30", "--out", "sp.csv"], ["classify", "--rule", "30", "--out", "c.txt"]]
+
+# Runs the commands in order in a fresh interpreter and prints, after each, whether numpy is loaded.
+_START_PATH_SCRIPT = """
+import sys
+from castream.cli import main
+for argv in COMMANDS:
+    assert main(argv) == 0, argv
+    print("numpy" in sys.modules)
+"""
+
+
+def _numpy_loaded_after_each(commands, cwd):
+    script = _START_PATH_SCRIPT.replace("COMMANDS", repr(commands))
+    env = {**os.environ, "PYTHONPATH": str(Path(castream.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return [line == "True" for line in proc.stdout.splitlines()]
+
+
+def test_numpy_is_loaded_only_where_a_walsh_transform_runs(tmp_path):
+    assert _numpy_loaded_after_each(_NUMPY_FREE_COMMANDS, tmp_path) == [False] * len(_NUMPY_FREE_COMMANDS)
+    assert (tmp_path / "pt.txt").read_text() == (tmp_path / "ks.txt").read_text()
+    # each transform command starts from an interpreter without numpy, so neither check is vacuous
+    for argv in _TRANSFORM_COMMANDS:
+        assert _numpy_loaded_after_each([argv], tmp_path) == [True], argv

@@ -1,11 +1,15 @@
 """Statistical battery: degenerate streams, closed-form cases, threshold plumbing."""
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from castream.cipher import KeystreamSpec, keystream
 from castream.engine import Configuration, rule_from_number
 from castream.fips import (
+    RUN_LENGTHS,
     SAMPLE_BITS,
     Thresholds,
     fips_battery,
@@ -14,6 +18,8 @@ from castream.fips import (
     poker,
     runs,
 )
+from castream.fips import TestReport as Report  # aliased: pytest would try to collect Test* names
+from castream.fips import TestResult as Result
 
 ZEROS = (0,) * SAMPLE_BITS
 ALTERNATING = (0, 1) * (SAMPLE_BITS // 2)
@@ -157,3 +163,145 @@ def test_custom_thresholds_are_used_and_reported():
     result = monobit(ZEROS, custom)
     assert result.passed
     assert result.thresholds["monobit.min"] == -1.0
+
+
+# The numpy battery the package ran before its numpy-free one: an independent oracle.
+def reference_as_sample(stream):
+    arr = np.asarray(stream, dtype=np.uint8)
+    if arr.ndim != 1 or len(arr) != SAMPLE_BITS:
+        raise ValueError(f"stream must contain exactly {SAMPLE_BITS} bits, got {len(arr)}")
+    if np.any(arr > 1):
+        raise ValueError("stream entries must be 0 or 1")
+    return arr
+
+
+def reference_monobit(stream, t):
+    ones = int(reference_as_sample(stream).sum())
+    passed = t["monobit.min"] < ones < t["monobit.max"]
+    return Result(
+        "monobit",
+        passed,
+        {"ones": ones},
+        {"monobit.min": t["monobit.min"], "monobit.max": t["monobit.max"]},
+    )
+
+
+def reference_poker(stream, t):
+    nibbles = reference_as_sample(stream).reshape(-1, 4) @ np.array([8, 4, 2, 1], dtype=np.int64)
+    counts = np.bincount(nibbles, minlength=16)
+    statistic = 16.0 * float(np.sum(counts * counts)) / (SAMPLE_BITS // 4) - (SAMPLE_BITS // 4)
+    passed = t["poker.min"] < statistic < t["poker.max"]
+    return Result(
+        "poker",
+        passed,
+        {"statistic": statistic},
+        {"poker.min": t["poker.min"], "poker.max": t["poker.max"]},
+    )
+
+
+def reference_run_lengths(arr):
+    boundaries = np.flatnonzero(np.diff(arr)) + 1
+    starts = np.concatenate(([0], boundaries))
+    ends = np.concatenate((boundaries, [len(arr)]))
+    return arr[starts], ends - starts
+
+
+def reference_runs(stream, t):
+    values, lengths = reference_run_lengths(reference_as_sample(stream))
+    statistics = {}
+    passed = True
+    for bit in (0, 1):
+        clipped = np.minimum(lengths[values == bit], RUN_LENGTHS[-1])
+        for length in RUN_LENGTHS:
+            count = int(np.sum(clipped == length))
+            statistics[f"bit{bit}.length{length}"] = count
+            if not t[f"runs.length{length}.min"] <= count <= t[f"runs.length{length}.max"]:
+                passed = False
+    bounds = {f"runs.length{i}.{side}": t[f"runs.length{i}.{side}"] for i in RUN_LENGTHS for side in ("min", "max")}
+    return Result("runs", passed, statistics, bounds)
+
+
+def reference_long_run(stream, t):
+    _, lengths = reference_run_lengths(reference_as_sample(stream))
+    longest = int(lengths.max())
+    passed = longest < t["long_run.limit"]
+    return Result("long_run", passed, {"longest": longest}, {"long_run.limit": t["long_run.limit"]})
+
+
+def reference_fips_battery(stream, t):
+    return Report(tuple(test(stream, t) for test in REFERENCES.values()))
+
+
+REFERENCES = {"monobit": reference_monobit, "poker": reference_poker, "runs": reference_runs,
+              "long_run": reference_long_run}
+TESTS = {"monobit": monobit, "poker": poker, "runs": runs, "long_run": long_run}
+
+# the forms a caller may hand a stream in
+AS_INPUT = {
+    "tuple": tuple,
+    "list": list,
+    "uint8": lambda bits: np.array(bits, dtype=np.uint8),
+    "int64": lambda bits: np.array(bits, dtype=np.int64),
+    "bool": lambda bits: np.array(bits, dtype=bool),
+}
+
+
+@st.composite
+def samples(draw):
+    """A biased 20000-bit stream with a few runs of chosen lengths (25, 26, 6+) written over it."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    bias = draw(st.sampled_from((0.0, 0.05, 0.3, 0.5, 0.7, 0.95, 1.0)) | st.floats(0, 1))
+    bits = [int(rng.random() < bias) for _ in range(SAMPLE_BITS)]
+    for _ in range(draw(st.integers(0, 3))):
+        length = draw(st.sampled_from((25, 26)) | st.integers(6, 40))
+        start = draw(st.integers(0, SAMPLE_BITS - length))
+        bits[start : start + length] = [draw(st.integers(0, 1))] * length
+    return bits
+
+
+def assert_matches_reference(bits, form):
+    t = Thresholds.default()
+    stream = AS_INPUT[form](bits)
+    for name, test in TESTS.items():
+        result, expected = test(stream, t), REFERENCES[name](stream, t)
+        assert result == expected, name
+        assert [type(v) for v in result.statistics.values()] == [type(v) for v in expected.statistics.values()]
+    report, expected = fips_battery(stream, t), reference_fips_battery(stream, t)
+    assert report == expected
+    assert report.to_text().splitlines() == expected.to_text().splitlines()
+
+
+@given(bits=samples(), form=st.sampled_from(sorted(AS_INPUT)))
+@settings(max_examples=100, deadline=None)
+@example(bits=list(NIBBLE_BLOCKS), form="uint8")
+def test_battery_matches_the_numpy_reference(bits, form):
+    assert_matches_reference(bits, form)
+
+
+@pytest.mark.parametrize("form", sorted(AS_INPUT))
+@pytest.mark.parametrize("bits", [ZEROS, (1,) * SAMPLE_BITS, ALTERNATING], ids=["zeros", "ones", "alternating"])
+def test_degenerate_streams_match_the_numpy_reference(bits, form):
+    assert_matches_reference(list(bits), form)
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [
+        (2,) + ALTERNATING[1:],
+        (-1,) + ALTERNATING[1:],
+        np.array((2,) + ALTERNATING[1:], dtype=np.int64),
+        np.array((-1,) + ALTERNATING[1:], dtype=np.int64),
+        ALTERNATING[:-1],
+        ALTERNATING + (0,),
+        np.array(ALTERNATING[:-1], dtype=np.uint8),
+        np.array(ALTERNATING + (0,), dtype=np.uint8),
+        np.array(ALTERNATING, dtype=np.uint8).reshape(-1, 1),
+        np.array(ALTERNATING, dtype=np.uint8).reshape(2, -1),
+    ],
+    ids=["2", "-1", "2-int64", "-1-int64", "19999", "20001", "19999-uint8", "20001-uint8",
+         "2d-column", "2d-rows"],
+)
+def test_bad_streams_raise_value_error(stream):
+    for test in (*TESTS.values(), fips_battery):
+        with pytest.raises(ValueError):
+            test(stream)
