@@ -6,51 +6,5 @@ all 256 elementary rules for keystream quality, runs the classic XOR stream
 cipher on tap-cell sequences, recovers keys from observed keystreams of
 left-permutive rules, and scores samples against the FIPS 140-2 battery.
 """
-from .algebra import (
-    AffineDecomposition,
-    affine_decomposition,
-    conjugate,
-    conjugate_reflect,
-    equivalence_class,
-    reflect,
-)
-from .attack import (
-    AttackResult,
-    PartialDiagram,
-    TrialsExhaustedError,
-    attack,
-    backward_completion,
-    backward_step,
-    forward_completion,
-    is_left_permutive,
-    success_rate,
-)
-from .cipher import KeystreamSpec, keystream, vernam_decrypt, vernam_encrypt
-from .engine import (
-    Configuration,
-    Rule,
-    RuleAssignment,
-    SpaceTimeDiagram,
-    apply_rule,
-    evolve,
-    rule_from_number,
-    step,
-    step_nonuniform,
-    temporal_sequence,
-)
-from .fips import TestReport, TestResult, Thresholds, fips_battery, long_run, monobit, poker, runs
-from .spectrum import (
-    BooleanFunction,
-    ScanReport,
-    WalshSpectrum,
-    correlation_bias,
-    correlation_immunity_order,
-    is_balanced,
-    iterate_rule,
-    minmax_score,
-    scan_report_csv,
-    scan_rules,
-    walsh_transform,
-)
 
 __version__ = "0.1.0"

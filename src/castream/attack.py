@@ -76,15 +76,10 @@ def _require_attackable(rule: Rule) -> None:
         raise ValueError(f"rule {rule.number} is not left-permutive")
 
 
-def _check_bits(name: str, bits: Sequence[int]) -> None:
-    if any(bit not in (0, 1) for bit in bits):
-        raise ValueError(f"{name} must contain only 0/1 values")
-
-
 def backward_step(rule: Rule, next_center: int, center: int, right: int) -> int:
     """The unique left neighbor consistent with a cell's observed transition."""
     _require_attackable(rule)
-    _check_bits("transition bits", (next_center, center, right))
+    _pack((next_center, center, right), "transition bits")
     return next_center ^ rule.truth_table[(center << 1) | right]
 
 
@@ -130,14 +125,13 @@ def forward_completion(rule: Rule, observed: Sequence[int], right_guess: Sequenc
         raise ValueError("observed sequence must contain at least 2 values")
     if len(right_guess) != n - 1:
         raise ValueError(f"right guess must contain {n - 1} bits, got {len(right_guess)}")
-    _check_bits("observed sequence", observed)
-    _check_bits("right guess", right_guess)
+    column = _pack(observed, "observed bits")
     kernel = _kernel(rule.truth_table)
-    row = _pack((observed[0], *right_guess))
+    row = _pack(right_guess, "right guess bits") << 1 | column & 1
     rows = [row]
     for k in range(1, n):
         inner = (1 << (n - k)) - 2
-        row = kernel(row << 1, row, row >> 1, inner) & inner | observed[k]
+        row = kernel(row << 1, row, row >> 1, inner) & inner | column >> k & 1
         rows.append(row)
     return PartialDiagram(n, tuple(rows), None)
 
@@ -190,7 +184,7 @@ def _checked_observation(rule: Rule, observed: Sequence[int], budget: int, budge
     observed = tuple(observed)
     if len(observed) < 3:
         raise ValueError("observed sequence must contain at least 3 values")
-    _check_bits("observed sequence", observed)
+    _pack(observed, "observed bits")
     if budget < 1:
         raise ValueError(f"{budget_name} must be >= 1")
     return observed

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Configuration, RuleLike, temporal_sequence
+from .engine import Configuration, RuleLike, _pack, _unpack, temporal_sequence
 
 __all__ = ["KeystreamSpec", "keystream", "vernam_encrypt", "vernam_decrypt"]
 
@@ -44,13 +44,13 @@ def keystream(key: Configuration, spec: KeystreamSpec, length: int) -> Bits:
 
 
 def vernam_encrypt(plain: Bits, key: Bits) -> Bits:
-    """Bitwise XOR; the key must match the plaintext length exactly."""
+    """Bitwise XOR of two packed streams; the key must match the plaintext length exactly."""
     if len(plain) != len(key):
         raise ValueError(
             f"key length {len(key)} does not match message length {len(plain)}; "
             "a keystream is never truncated or reused"
         )
-    return tuple(p ^ k for p, k in zip(plain, key))
+    return _unpack(_pack(plain, "message bits") ^ _pack(key, "key bits"), len(plain))
 
 
 def vernam_decrypt(cipher: Bits, key: Bits) -> Bits:

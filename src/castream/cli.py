@@ -16,20 +16,9 @@ import random
 import sys
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
+# the other layers (and numpy) are imported by the commands that run them
 from . import bitio
-from .algebra import affine_decomposition, conjugate, conjugate_reflect, equivalence_class, reflect
-from .attack import TrialsExhaustedError, attack
-from .cipher import KeystreamSpec, keystream, vernam_decrypt, vernam_encrypt
 from .engine import Configuration, Rule, RuleAssignment, RuleLike, evolve
-from .fips import SAMPLE_BITS, Thresholds, fips_battery
-from .spectrum import (
-    correlation_immunity_order,
-    is_balanced,
-    iterate_rule,
-    scan_report_csv,
-    scan_rules,
-    walsh_transform,
-)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,9 +35,16 @@ CSV_CHUNK_ROWS = 1 << 16  # spectrum rows formatted and written at a time
 Bits = tuple[int, ...]
 
 
+def _rule_numbers(text: str, flag: str) -> list[int]:
+    try:
+        return [int(n) for n in text.split(",") if n]
+    except ValueError:
+        raise ValueError(f"{flag} must be a comma-separated list of rule numbers, got {text!r}") from None
+
+
 def _build_rule(args: argparse.Namespace) -> RuleLike:
     if args.rules:
-        numbers = [int(n) for n in args.rules.split(",") if n]
+        numbers = _rule_numbers(args.rules, "--rules")
         if not numbers:
             raise ValueError("--rules must list at least one rule number")
         rules = [Rule.from_number(n, args.radius) for n in numbers]
@@ -145,6 +141,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_keystream(args: argparse.Namespace) -> int:
+    from .cipher import KeystreamSpec, keystream
     key = _ring(args, args.key, "--key", ("zero", "random"))
     rule = _build_rule(args)
     spec = KeystreamSpec(rule=rule, width=key.width, tap=args.cell, burn_in=args.burn_in)
@@ -154,6 +151,7 @@ def cmd_keystream(args: argparse.Namespace) -> int:
 
 
 def _cmd_xor(args: argparse.Namespace) -> int:
+    from .cipher import vernam_decrypt, vernam_encrypt
     message = _read_stream(args.infile, args.stream_format, args.bits)
     key = _read_stream(args.key, args.stream_format, args.key_bits or args.bits)
     if len(key) != len(message):
@@ -182,6 +180,7 @@ def _spectrum_csv(values: np.ndarray) -> Iterator[str]:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
+    from .spectrum import iterate_rule, walsh_transform
     rule = Rule.from_number(args.rule, args.radius)
     spectrum = walsh_transform(iterate_rule(rule, args.order))
     _emit(_spectrum_csv(spectrum.array), args.out)
@@ -199,16 +198,17 @@ def _parse_orders(text: str) -> tuple[int, ...]:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    from .spectrum import scan_report_csv, scan_rules
     orders = _parse_orders(args.orders)
-    only = None
-    if args.only:
-        only = [int(p) for p in args.only.split(",") if p]
+    only = _rule_numbers(args.only, "--only") if args.only else None
     report = scan_rules(orders)
     _emit(scan_report_csv(report, only=only), args.out)
     return EXIT_OK
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    from .algebra import affine_decomposition, conjugate, conjugate_reflect, equivalence_class, reflect
+    from .spectrum import correlation_immunity_order, is_balanced, iterate_rule
     rule = Rule.from_number(args.rule)
     f = iterate_rule(rule, 1)
     lines = [
@@ -226,6 +226,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
+    from .attack import TrialsExhaustedError, attack
     observed = bitio.parse_bits(args.sequence)
     if args.width is not None and args.width != len(observed):
         raise ValueError(f"--width {args.width} does not match sequence of length {len(observed)}")
@@ -261,6 +262,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_fips(args: argparse.Namespace) -> int:
+    from .fips import SAMPLE_BITS, Thresholds, fips_battery
     stream = _read_stream(args.infile, args.stream_format, args.bits)
     if len(stream) < SAMPLE_BITS:
         raise ValueError(f"need at least {SAMPLE_BITS} bits, got {len(stream)}")

@@ -13,7 +13,8 @@ states: each neighbor is a rotation of the ring, and the rule is applied to
 all cells at once by bitwise code compiled from its algebraic normal form
 (ANF), which ``algebra`` and ``attack`` also read to tell affine and
 left-permutive rules.  Rows that ``step`` and ``evolve`` produce stay packed
-and are not re-validated.
+and are not re-validated.  ``_pack`` is the one check that bits are 0 or 1;
+every layer that takes bits validates them by packing them with it.
 """
 from __future__ import annotations
 
@@ -62,13 +63,12 @@ class Rule:
                 f"truth table must have {expected} entries for radius {self.radius}, "
                 f"got {len(self.truth_table)}"
             )
-        if any(bit not in (0, 1) for bit in self.truth_table):
-            raise ValueError("truth table entries must be 0 or 1")
+        _pack(self.truth_table, "truth table entries")  # raises unless each entry is 0 or 1
 
     @property
     def number(self) -> int:
         """Wolfram number: sum of truth_table[x] * 2**x."""
-        return sum(bit << x for x, bit in enumerate(self.truth_table))
+        return _pack(self.truth_table, "truth table entries")
 
     @property
     def neighborhood_size(self) -> int:
@@ -81,7 +81,7 @@ class Rule:
         table_size = 1 << (2 * radius + 1)
         if not 0 <= number < (1 << table_size):
             raise ValueError(f"rule number {number} out of range for radius {radius}")
-        return cls(radius, tuple((number >> x) & 1 for x in range(table_size)))
+        return cls(radius, _unpack(number, table_size))
 
     def apply(self, neighborhood: Sequence[int]) -> int:
         """Output bit for one neighborhood, leftmost cell most significant."""
@@ -139,13 +139,9 @@ class Configuration:
     width: int
 
     def __init__(self, cells: Sequence[int]) -> None:
-        cells = tuple(cells)
-        if not cells:
-            raise ValueError("configuration must contain at least one cell")
-        if any(bit not in (0, 1) for bit in cells):
-            raise ValueError("cells must be 0 or 1")
-        object.__setattr__(self, "_state", _pack(cells))
-        object.__setattr__(self, "width", len(cells))
+        width = _checked_width(len(cells))
+        object.__setattr__(self, "_state", _pack(cells, "cells"))
+        object.__setattr__(self, "width", width)
 
     @classmethod
     def _packed(cls, state: int, width: int) -> "Configuration":
@@ -279,12 +275,23 @@ def _kernel(truth_table: tuple[int, ...]) -> Callable[..., int]:
     return eval(f"lambda {params}, m: {' ^ '.join(terms) or '0'}")
 
 
-def _pack(cells: Sequence[int]) -> int:
-    return int(bytes(map(int, cells[::-1])).translate(_TO_DIGITS), 2)
+def _pack(bits: Sequence[int], what: str = "bits") -> int:
+    """The bits as one int, bit i = bits[i]; an array is read through ``tolist()``, not its buffer."""
+    values = bits.tolist() if hasattr(bits, "tolist") else bits  # a buffer holds itemsize bytes a bit
+    if isinstance(values, int):  # bytes(n) would be n zero bytes
+        raise TypeError(f"{what} must be a sequence, got {values!r}")
+    try:
+        data = bytes(values)
+    except (TypeError, ValueError):  # an entry that is no int in 0..255: rejected below
+        data = b"\x02"
+    if data.translate(None, b"\x00\x01"):
+        raise ValueError(f"{what} must be 0 or 1")
+    return int(data[::-1].translate(_TO_DIGITS) or b"0", 2)
 
 
 def _unpack(state: int, width: int) -> tuple[int, ...]:
-    return tuple(format(state, f"0{width}b")[::-1].encode().translate(_TO_CELLS))
+    digits = format(state, f"0{width}b")[::-1][:width]  # width 0 formats as "0"
+    return tuple(digits.encode().translate(_TO_CELLS))
 
 
 def _states(config: Configuration, rule: RuleLike, steps: int) -> Iterator[int]:

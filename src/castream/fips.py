@@ -3,11 +3,12 @@
 Four tests run on a fixed-size sample: monobit (ones count), poker
 (chi-square-like statistic over 4-bit nibbles), runs (counts of maximal
 runs by length, both bit values), and long run (no run of 26 or more).
-The battery needs no numpy: it turns a sample into ASCII ``0``/``1`` bytes
-once, and counts their ones, their hex digits (nibbles) and, once for runs
-and long run, their maximal runs.  Thresholds are configuration data loaded
-from a ``test.parameter = value`` file, not constants baked into the test
-logic; the defaults come from the standard (see ``fips_thresholds.conf``).
+The battery needs no numpy: it checks a sample with ``engine._pack``, writes
+it once as ASCII ``0``/``1`` bytes, and counts their ones, their hex digits
+(nibbles) and, once for runs and long run, their maximal runs.  Thresholds
+are configuration data loaded from a ``test.parameter = value`` file, not
+constants baked into the test logic; the defaults come from the standard
+(see ``fips_thresholds.conf``).
 """
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, Sequence
+
+from .engine import _pack
 
 __all__ = [
     "SAMPLE_BITS",
@@ -30,7 +33,6 @@ __all__ = [
 
 SAMPLE_BITS = 20000
 RUN_LENGTHS = (1, 2, 3, 4, 5, 6)  # length 6 pools all runs of 6 or more
-_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -110,17 +112,9 @@ class TestReport:
 
 def _as_sample(stream: Sequence[int]) -> bytes:
     """The sample as 20000 ASCII ``0``/``1`` bytes, after checking its length and entries."""
-    # an array's buffer holds itemsize bytes a bit, and a 2-D array lists rows: read its list
-    values = stream.tolist() if hasattr(stream, "tolist") else stream
-    if len(values) != SAMPLE_BITS:
-        raise ValueError(f"stream must contain exactly {SAMPLE_BITS} bits, got {len(values)}")
-    try:
-        sample = bytes(values)
-    except (TypeError, ValueError):  # an entry that is no int in 0..255: rejected below
-        sample = b"\x02"
-    if sample.translate(None, b"\x00\x01"):
-        raise ValueError("stream entries must be 0 or 1")
-    return sample.translate(_ASCII)
+    if len(stream) != SAMPLE_BITS:
+        raise ValueError(f"stream must contain exactly {SAMPLE_BITS} bits, got {len(stream)}")
+    return format(_pack(stream, "stream entries"), f"0{SAMPLE_BITS}b")[::-1].encode()
 
 
 def _run_counts(sample: bytes) -> tuple[Counter[int], ...]:

@@ -71,13 +71,10 @@ class BooleanFunction:
     n: int
 
     def __init__(self, truth_table: Sequence[int]) -> None:
-        table = tuple(truth_table)
-        size = len(table)
+        size = len(truth_table)
         if size < 2 or size & (size - 1):
             raise ValueError("truth table length must be a power of two >= 2")
-        if any(bit not in (0, 1) for bit in table):
-            raise ValueError("truth table entries must be 0 or 1")
-        object.__setattr__(self, "_table", _pack(table))
+        object.__setattr__(self, "_table", _pack(truth_table, "truth table entries"))
         object.__setattr__(self, "n", size.bit_length() - 1)
 
     @classmethod
@@ -312,6 +309,8 @@ def scan_report_csv(report: ScanReport, only: Iterable[int] | None = None) -> st
     Unbalanced rules carry empty cfg/val cells (no score is defined for them).
     """
     selected = sorted(only) if only is not None else range(256)
+    if len(set(selected)) != len(selected):
+        raise ValueError(f"rules must not repeat, got {','.join(map(str, selected))}")
     header = ["rule"]
     for order in report.orders:
         header += [f"cfg{order}", f"val{order}"]

@@ -338,3 +338,15 @@ def test_success_rate_at_least_uniform_floor():
         # the true right column is one of 2^(N-1) guesses, so the rate cannot
         # collapse far below 2^-(N-1); allow generous sampling slack
         assert rate >= Fraction(1, 1 << 7)
+
+
+@pytest.mark.parametrize("bad", [2, -1, 1.0])
+def test_attack_inputs_are_checked_by_the_one_packer(bad):
+    with pytest.raises(ValueError, match="observed bits must be 0 or 1"):
+        forward_completion(RULE_30, (0, bad, 1, 0, 0), (1, 0, 1, 1))
+    with pytest.raises(ValueError, match="right guess bits must be 0 or 1"):
+        forward_completion(RULE_30, OBSERVED, (1, bad, 1, 1))
+    with pytest.raises(ValueError, match="observed bits must be 0 or 1"):
+        attack(RULE_30, (0, bad, 1, 0, 0), max_trials=4, seed=0)
+    with pytest.raises(ValueError, match="transition bits must be 0 or 1"):
+        backward_step(RULE_30, bad, 0, 1)

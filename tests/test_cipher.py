@@ -82,3 +82,11 @@ def test_vernam_round_trip(seed, length):
     plain = tuple(rng.getrandbits(1) for _ in range(length))
     key = tuple(rng.getrandbits(1) for _ in range(length))
     assert vernam_decrypt(vernam_encrypt(plain, key), key) == plain
+
+
+@pytest.mark.parametrize("plain, key", [((2, 5), (1, 1)), ((1, 0), (1, 2)), ((1.0, 0.0), (1, 1))])
+def test_vernam_rejects_entries_other_than_0_and_1(plain, key):
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        vernam_encrypt(plain, key)
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        vernam_decrypt(plain, key)

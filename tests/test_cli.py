@@ -240,6 +240,30 @@ def test_scan_names_the_flag_of_a_malformed_order(capsys, orders):
     assert err == f"error: --orders must be lo..hi or a comma-separated list, got {orders!r}\n"
 
 
+@pytest.mark.parametrize("only", ["30,30", "90,30,90"])
+def test_scan_rejects_repeated_rules(capsys, only):
+    code, out, err = run(capsys, "scan", "--orders", "1", "--only", only)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "rules must not repeat" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag, text",
+    [
+        (["scan", "--only", "x"], "--only", "x"),
+        (["scan", "--only", "30,1.5"], "--only", "30,1.5"),
+        (["keystream", "--rules", "30,x", "--width", "8", "--key", "zero", "--length", "4"], "--rules", "30,x"),
+        (["evolve", "--rules", "30,x", "--width", "8", "--steps", "1", "--init", "single"], "--rules", "30,x"),
+    ],
+)
+def test_a_malformed_rule_list_names_its_flag(capsys, argv, flag, text):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {flag} must be a comma-separated list of rule numbers, got {text!r}\n"
+
+
 def test_classify_rule_30(capsys):
     code, out, _ = run(capsys, "classify", "--rule", "30")
     assert code == EXIT_OK
@@ -438,22 +462,31 @@ _NUMPY_FREE_COMMANDS = [
 ]
 _TRANSFORM_COMMANDS = [["spectrum", "--rule", "30", "--out", "sp.csv"], ["classify", "--rule", "30", "--out", "c.txt"]]
 
-# Runs the commands in order in a fresh interpreter and prints, after each, whether numpy is loaded.
+# Runs the commands in order in a fresh interpreter and prints, after each, a line listing the
+# modules loaded so far among numpy and castream's own (--help exits through SystemExit).
 _START_PATH_SCRIPT = """
 import sys
 from castream.cli import main
 for argv in COMMANDS:
-    assert main(argv) == 0, argv
-    print("numpy" in sys.modules)
+    try:
+        code = main(argv)
+    except SystemExit as exit:
+        code = exit.code
+    assert code == 0, argv
+    print("loaded:", *sorted(m for m in sys.modules if m == "numpy" or m.startswith("castream.")))
 """
 
 
-def _numpy_loaded_after_each(commands, cwd):
+def _loaded_after_each(commands, cwd):
     script = _START_PATH_SCRIPT.replace("COMMANDS", repr(commands))
     env = {**os.environ, "PYTHONPATH": str(Path(castream.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return [line == "True" for line in proc.stdout.splitlines()]
+    return [set(line.split()[1:]) for line in proc.stdout.splitlines() if line.startswith("loaded:")]
+
+
+def _numpy_loaded_after_each(commands, cwd):
+    return ["numpy" in loaded for loaded in _loaded_after_each(commands, cwd)]
 
 
 def test_numpy_is_loaded_only_where_a_walsh_transform_runs(tmp_path):
@@ -462,3 +495,29 @@ def test_numpy_is_loaded_only_where_a_walsh_transform_runs(tmp_path):
     # each transform command starts from an interpreter without numpy, so neither check is vacuous
     for argv in _TRANSFORM_COMMANDS:
         assert _numpy_loaded_after_each([argv], tmp_path) == [True], argv
+
+
+def test_importing_a_layer_yields_the_module():
+    import castream.attack
+
+    assert castream.attack.__name__ == "castream.attack"
+    assert castream.attack.forward_completion.__module__ == "castream.attack"
+
+
+_OPTIONAL_LAYERS = {"castream.attack", "castream.spectrum", "castream.algebra", "castream.fips"}
+
+
+@pytest.mark.parametrize(
+    "commands, allowed",
+    [
+        # --help, keystream, encrypt, evolve
+        ([["--help"], *(_NUMPY_FREE_COMMANDS[i] for i in (0, 1, 4))], set()),
+        ([_NUMPY_FREE_COMMANDS[6]], {"castream.attack"}),  # attack
+        ([_NUMPY_FREE_COMMANDS[0], _NUMPY_FREE_COMMANDS[3]], {"castream.fips"}),  # keystream, then fips
+    ],
+)
+def test_each_command_loads_only_the_layers_it_runs(tmp_path, commands, allowed):
+    loaded = _loaded_after_each(commands, tmp_path)
+    assert len(loaded) == len(commands)
+    assert [modules & _OPTIONAL_LAYERS <= allowed for modules in loaded] == [True] * len(commands), loaded
+    assert allowed <= loaded[-1]  # the layer the last command runs is loaded, so the check is not vacuous

@@ -2,6 +2,7 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -397,3 +398,44 @@ def test_named_configurations_keep_their_cells_and_draw_order(width, seed):
     rng, reference = random.Random(seed), random.Random(seed)
     assert Configuration.random(width, rng).cells == tuple(reference.getrandbits(1) for _ in range(width))
     assert rng.getrandbits(32) == reference.getrandbits(32)
+
+
+# _pack is the one 0/1 check: every constructor and layer that takes bits packs them with it.
+@given(bits=st.lists(st.integers(0, 1), max_size=300).map(tuple))
+def test_pack_is_the_bit_weighted_sum_and_unpack_inverts_it(bits):
+    assert _pack(bits) == sum(bit << i for i, bit in enumerate(bits))
+    assert _unpack(_pack(bits), len(bits)) == bits
+
+
+def test_unpack_of_width_zero_is_empty():
+    assert _unpack(0, 0) == ()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.bool_])
+def test_arrays_pack_like_their_lists(dtype):
+    cells = [0, 1, 1, 0, 1, 0, 0, 1, 1]
+    array = np.array(cells, dtype=dtype)
+    assert _pack(array) == _pack(cells)
+    assert Configuration(array) == Configuration(cells)
+
+
+@pytest.mark.parametrize("entries", [(1.0, 0.0), (0, 2), (0, -1), ("0", "1"), (None, 1)])
+def test_pack_rejects_anything_but_0_and_1_and_names_what(entries):
+    with pytest.raises(ValueError, match="cells must be 0 or 1"):
+        _pack(entries, "cells")
+    with pytest.raises(ValueError, match="cells must be 0 or 1"):
+        Configuration(entries)
+
+
+def test_a_bare_int_is_no_sequence_of_bits():
+    # bytes(5) is five zero bytes: an int must not pack as a run of zeros
+    with pytest.raises(TypeError):
+        _pack(5)
+    with pytest.raises(TypeError):
+        Configuration(5)
+
+
+def test_rule_rejects_a_float_entry_when_built():
+    with pytest.raises(ValueError, match="truth table entries must be 0 or 1"):
+        Rule(1, (1.0,) + (0,) * 7)
+    assert Rule(1, (True,) + (False,) * 7).number == 1

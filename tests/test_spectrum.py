@@ -436,3 +436,17 @@ def first_difference(text, expected):
     lines, want = text.split("\n"), expected.split("\n")
     index = next((i for i, (a, b) in enumerate(zip(lines, want)) if a != b), min(len(lines), len(want)))
     return index, lines[index : index + 1], want[index : index + 1]
+
+
+def test_boolean_function_rejects_floats_and_packs_arrays_like_lists():
+    with pytest.raises(ValueError, match="truth table entries must be 0 or 1"):
+        BooleanFunction((1.0, 0))
+    table = [0, 1, 1, 1, 0, 0, 1, 0]
+    for dtype in (np.int64, np.bool_):
+        assert BooleanFunction(np.array(table, dtype=dtype)) == BooleanFunction(table)
+
+
+def test_scan_report_rejects_repeated_rules():
+    report = scan_rules((1,))
+    with pytest.raises(ValueError, match="must not repeat"):
+        scan_report_csv(report, only=[30, 30])
