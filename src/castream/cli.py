@@ -107,26 +107,26 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
             handle.writelines(chunks)
 
 
-def _emit_stream(bits: Bits, fmt: str, out: str | None) -> None:
-    if fmt == "ascii":
-        _emit(bitio.format_bits(bits), out)
-        return
-    data = bitio.pack_bits(bits)
+def _emit_stream(cells: Iterable[bytes], fmt: str, out: str | None) -> None:
+    """Write a stream given as chunks of 0/1 bytes, each chunk as it comes."""
+    data = bitio._encoded(cells, fmt)
     if out is None:
-        sys.stdout.buffer.write(data)
+        sys.stdout.flush()  # text already written to stdout comes first
+        sys.stdout.buffer.writelines(data)
     else:
         with open(out, "wb") as handle:
-            handle.write(data)
+            handle.writelines(data)
 
 
-def _read_stream(path: str, fmt: str, bits: int | None) -> Bits:
+def _read_stream(path: str, fmt: str, bits: int | None) -> bytes:
+    """The stream in a file as 0/1 bytes."""
     if fmt == "ascii":
         with open(path, encoding="utf-8") as handle:
-            return bitio.parse_bits(handle.read())
+            return bitio._parsed(handle.read())
     if bits is None:
         raise ValueError("--bits is required with --stream-format raw")
     with open(path, "rb") as handle:
-        return bitio.unpack_bits(handle.read(), bits)
+        return bitio._unpacked(handle.read(), bits)
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
@@ -141,17 +141,15 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_keystream(args: argparse.Namespace) -> int:
-    from .cipher import KeystreamSpec, keystream
+    from .cipher import KeystreamSpec, _keystream_chunks
     key = _ring(args, args.key, "--key", ("zero", "random"))
     rule = _build_rule(args)
     spec = KeystreamSpec(rule=rule, width=key.width, tap=args.cell, burn_in=args.burn_in)
-    bits = keystream(key, spec, args.length)
-    _emit_stream(bits, args.stream_format, args.out)
+    _emit_stream(_keystream_chunks(key, spec, args.length), args.stream_format, args.out)
     return EXIT_OK
 
 
 def _cmd_xor(args: argparse.Namespace) -> int:
-    from .cipher import vernam_decrypt, vernam_encrypt
     message = _read_stream(args.infile, args.stream_format, args.bits)
     key = _read_stream(args.key, args.stream_format, args.key_bits or args.bits)
     if len(key) != len(message):
@@ -162,9 +160,11 @@ def _cmd_xor(args: argparse.Namespace) -> int:
             )
         if not key:
             raise ValueError("key stream is empty")
-        key = tuple(key[i % len(key)] for i in range(len(message)))
-    result = vernam_encrypt(message, key) if args.mode == "encrypt" else vernam_decrypt(message, key)
-    _emit_stream(result, args.stream_format, args.out)
+        key = (key * (len(message) // len(key) + 1))[: len(message)]
+    # XOR is its own inverse, so encrypt and decrypt are one operation; as the bytes hold 0 or 1,
+    # the XOR of the two big-endian ints is the XOR of every bit
+    result = int.from_bytes(message, "big") ^ int.from_bytes(key, "big")
+    _emit_stream((result.to_bytes(len(message), "big"),), args.stream_format, args.out)
     return EXIT_OK
 
 
@@ -198,9 +198,10 @@ def _parse_orders(text: str) -> tuple[int, ...]:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    from .spectrum import scan_report_csv, scan_rules
+    from .spectrum import _selected_rules, scan_report_csv, scan_rules
     orders = _parse_orders(args.orders)
     only = _rule_numbers(args.only, "--only") if args.only else None
+    _selected_rules(only)  # a bad --only is a usage error before the scan, not after it
     report = scan_rules(orders)
     _emit(scan_report_csv(report, only=only), args.out)
     return EXIT_OK

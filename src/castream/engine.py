@@ -8,13 +8,14 @@ a ring of N cells (indices wrap modulo N).  All operations are pure; every
 value is immutable once constructed.
 
 A configuration is held packed: the ring is one int with bit i = cell i,
-and its ``cells`` tuple is derived on demand.  Steps are evaluated on packed
-states: each neighbor is a rotation of the ring, and the rule is applied to
-all cells at once by bitwise code compiled from its algebraic normal form
-(ANF), which ``algebra`` and ``attack`` also read to tell affine and
-left-permutive rules.  Rows that ``step`` and ``evolve`` produce stay packed
-and are not re-validated.  ``_pack`` is the one check that bits are 0 or 1;
-every layer that takes bits validates them by packing them with it.
+and its ``cells`` tuple is derived on demand.  Each generator, a rule or a
+per-cell assignment on one ring width, is compiled once into one loop from
+the rules' algebraic normal form (ANF), which ``algebra`` and ``attack`` also
+read.  A step reads each neighbor from the doubled state ``s | s << width``
+with one shift and masks once; before each step the loop writes a tap cell's
+bit as a 0/1 byte, and tap bits leave in chunks of ``TAP_CHUNK``, so that a
+keystream is written as it is made.  Rows that ``step`` and ``evolve`` make
+are not re-validated: ``_pack`` is the one check that bits are 0 or 1.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 SUPPORTED_RADII = (1, 2)
+TAP_CHUNK = 1 << 16  # tap bits a chunk holds: a multiple of 8, so each chunk packs to whole bytes
 
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _TO_CELLS = bytes.maketrans(b"01", b"\x00\x01")
@@ -59,11 +61,11 @@ class Rule:
             raise ValueError(f"unsupported radius {self.radius}; must be one of {SUPPORTED_RADII}")
         expected = 1 << (2 * self.radius + 1)
         if len(self.truth_table) != expected:
-            raise ValueError(
-                f"truth table must have {expected} entries for radius {self.radius}, "
-                f"got {len(self.truth_table)}"
-            )
+            raise ValueError(f"truth table must have {expected} entries for radius {self.radius}, "
+                             f"got {len(self.truth_table)}")
         _pack(self.truth_table, "truth table entries")  # raises unless each entry is 0 or 1
+        if type(self.truth_table) is not tuple:  # a list or an array is unhashable, and rules are cache keys
+            object.__setattr__(self, "truth_table", tuple(map(int, self.truth_table)))
 
     @property
     def number(self) -> int:
@@ -254,25 +256,49 @@ def _anf(truth_table: tuple[int, ...]) -> int:
     return anf
 
 
+def _terms(truth_table: tuple[int, ...], operands: Sequence[str], one: str) -> str:
+    """The ANF as bitwise code: an XOR of ANDs of the operands (leftmost neighbor first) and ``one``."""
+    arity, anf = len(operands), _anf(truth_table)
+    terms = (" & ".join(v for j, v in enumerate(operands) if x >> (arity - 1 - j) & 1) or one
+             for x in range(len(truth_table)) if anf >> x & 1)
+    return " ^ ".join(terms) or "0"
+
+
 @functools.lru_cache(maxsize=1024)
 def _kernel(truth_table: tuple[int, ...]) -> Callable[..., int]:
-    """Compile a truth table into bitwise code over packed operands.
+    """Compile a truth table into a function of one packed operand per neighbor, leftmost first,
+    and a mask ``m`` of ones, the ANF's constant 1.  Bits outside the mask are undefined: each
+    caller masks the result or keeps its operands inside the mask."""
+    params = [f"x{j}" for j in range(len(truth_table).bit_length() - 1)]
+    return eval(f"lambda {', '.join(params)}, m: {_terms(truth_table, params, 'm')}")
 
-    The compiled function takes one int per neighbor, leftmost first, and a
-    mask of ones over the packed width.  It is the algebraic normal form, an
-    XOR of ANDs of the operands with the mask as the constant 1, so bits
-    outside the mask are undefined: each caller masks the result or keeps
-    its operands inside the mask.
-    """
-    arity = len(truth_table).bit_length() - 1
-    anf = _anf(truth_table)
-    terms = (
-        " & ".join(f"x{j}" for j in range(arity) if x >> (arity - 1 - j) & 1) or "m"
-        for x in range(len(truth_table))
-        if anf >> x & 1
-    )
-    params = ", ".join(f"x{j}" for j in range(arity))
-    return eval(f"lambda {params}, m: {' ^ '.join(terms) or '0'}")
+
+@functools.lru_cache(maxsize=256)
+def _loop(rule: RuleLike, width: int) -> Callable[[int, bytearray, int], int]:
+    """Compile ``run(state, out, cell)`` for a generator on ``width`` cells: it steps the ring
+    ``len(out)`` times, writes the cell's bit before each step into ``out`` and returns the state.
+    Neighbor offset o is ``d >> (o % width)`` of the doubled state ``d = s | s << width``."""
+    needed = 2 * rule.radius + 1
+    if width < needed:
+        raise ValueError(f"ring width {width} too small for radius {rule.radius} (need >= {needed})")
+    tables = [r.truth_table for r in getattr(rule, "rules", (rule,) * width)]
+    if len(tables) != width:
+        raise ValueError(f"assignment has {len(tables)} rules but configuration has {width} cells")
+    cells = {t: _pack([x == t for x in tables]) for t in dict.fromkeys(tables)}  # where each rule runs
+    shifts = [offset % width for offset in range(-rule.radius, rule.radius + 1)]
+    operands = [f"x{j}" if k else "s" for j, k in enumerate(shifts)]
+    step = " | ".join(f"({_terms(t, operands, f'c{i}')}) & c{i}" for i, t in enumerate(cells))
+    namespace = {f"c{i}": mask for i, mask in enumerate(cells.values())}
+    exec("\n".join((
+        f"def run(s, out, cell, {', '.join(f'{c}={c}' for c in namespace)}):",
+        "    for i in range(len(out)):",
+        "        out[i] = s >> cell & 1",
+        f"        d = s | s << {width}",
+        *(f"        {v} = d >> {k}" for v, k in zip(operands, shifts) if k),
+        f"        s = {step}",
+        "    return s",
+    )), namespace)
+    return namespace["run"]
 
 
 def _pack(bits: Sequence[int], what: str = "bits") -> int:
@@ -295,39 +321,37 @@ def _unpack(state: int, width: int) -> tuple[int, ...]:
 
 
 def _states(config: Configuration, rule: RuleLike, steps: int) -> Iterator[int]:
-    """Packed ring states (bit i = cell i) at times 0 .. steps."""
-    width = config.width
-    needed = 2 * rule.radius + 1
-    if width < needed:
-        raise ValueError(
-            f"ring width {width} too small for radius {rule.radius} (need >= {needed})"
-        )
-    mask = (1 << width) - 1
-    if isinstance(rule, RuleAssignment):
-        if rule.width != width:
-            raise ValueError(
-                f"assignment has {rule.width} rules but configuration has {width} cells"
-            )
-        tables = [r.truth_table for r in rule.rules]
-        parts = [(_kernel(t), _pack([x == t for x in tables])) for t in dict.fromkeys(tables)]
-    else:
-        parts = [(_kernel(rule.truth_table), mask)]
-    # the operand for offset o holds cell i+o at bit i: the state rotated right by o
-    shifts = [offset % width for offset in range(-rule.radius, rule.radius + 1)]
-    state = config._state
+    """Packed ring states (bit i = cell i) at times 0 .. steps, one call of the ring loop a step."""
+    run, out, state = _loop(rule, config.width), bytearray(1), config._state
     yield state
     for _ in range(steps):
-        operands = [((state >> k) | (state << (width - k))) & mask for k in shifts]
-        state = 0
-        for kernel, cells in parts:
-            state |= kernel(*operands, mask) & cells
+        state = run(state, out, 0)
         yield state
+
+
+def _taps(config: Configuration, rule: RuleLike, cell: int, length: int, burn_in: int = 0) -> Iterator[bytearray]:
+    """The cell's bits at times burn_in .. burn_in + length - 1 as 0/1 bytes, in chunks of
+    ``TAP_CHUNK`` bits, the last one shorter; the arguments are checked on the call."""
+    if not 0 <= cell < config.width:
+        raise ValueError(f"cell {cell} out of range for width {config.width}")
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    run = _loop(rule, config.width)
+
+    def chunks(state: int) -> Iterator[bytearray]:
+        for start in range(0, burn_in, TAP_CHUNK):  # stepped a chunk at a time, yielding nothing
+            state = run(state, bytearray(min(TAP_CHUNK, burn_in - start)), cell)
+        for start in range(0, length, TAP_CHUNK):
+            out = bytearray(min(TAP_CHUNK, length - start))
+            state = run(state, out, cell)
+            yield out
+
+    return chunks(config._state)
 
 
 def step(config: Configuration, rule: RuleLike) -> Configuration:
     """Advance the ring one time step under a rule or a per-cell assignment."""
-    *_, state = _states(config, rule, 1)
-    return Configuration._packed(state, config.width)
+    return Configuration._packed(_loop(rule, config.width)(config._state, bytearray(1), 0), config.width)
 
 
 step_nonuniform = step
@@ -337,14 +361,9 @@ def evolve(config: Configuration, rule: RuleLike, steps: int) -> SpaceTimeDiagra
     """Evolve for ``steps`` steps; rows[0] is the initial configuration."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    states = _states(config, rule, steps)
-    return SpaceTimeDiagram(tuple(Configuration._packed(state, config.width) for state in states))
+    return SpaceTimeDiagram(tuple(Configuration._packed(s, config.width) for s in _states(config, rule, steps)))
 
 
 def temporal_sequence(config: Configuration, rule: RuleLike, cell: int, length: int) -> tuple[int, ...]:
     """Values of one fixed cell over ``length`` time steps, starting at time 0."""
-    if not 0 <= cell < config.width:
-        raise ValueError(f"cell {cell} out of range for width {config.width}")
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    return tuple(state >> cell & 1 for state in _states(config, rule, length - 1))
+    return tuple(b"".join(_taps(config, rule, cell, length)))

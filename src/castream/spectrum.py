@@ -303,20 +303,28 @@ def scan_rules(orders: Iterable[int]) -> ScanReport:
     return ScanReport(orders=order_list, rows=tuple(rows))
 
 
+def _selected_rules(only: Iterable[int] | None) -> list[int]:
+    """The rules a report lists, in order: all 256, or ``only`` once checked to name each rule once."""
+    selected = sorted(only) if only is not None else list(range(256))
+    if len(set(selected)) != len(selected):
+        raise ValueError(f"rules must not repeat, got {','.join(map(str, selected))}")
+    for number in selected:
+        if not 0 <= number < 256:
+            raise ValueError(f"rule number {number} out of range 0..255")
+    return selected
+
+
 def scan_report_csv(report: ScanReport, only: Iterable[int] | None = None) -> str:
     """Comma-separated table: rule, cfg/val per order, then equivalence columns.
 
     Unbalanced rules carry empty cfg/val cells (no score is defined for them).
     """
-    selected = sorted(only) if only is not None else range(256)
-    if len(set(selected)) != len(selected):
-        raise ValueError(f"rules must not repeat, got {','.join(map(str, selected))}")
     header = ["rule"]
     for order in report.orders:
         header += [f"cfg{order}", f"val{order}"]
     header += ["conj", "refl", "cr"]
     lines = [",".join(header)]
-    for number in selected:
+    for number in _selected_rules(only):
         row = report.row(number)
         fields = [str(number)]
         for order in report.orders:

@@ -92,6 +92,29 @@ def test_keystream_known_answer(capsys):
     assert out == "00100\n"
 
 
+@pytest.mark.parametrize("chunk", [None, 9])
+def test_keystream_is_written_chunk_by_chunk_as_the_library_makes_it(capsysbinary, monkeypatch, chunk):
+    # 65549 bits after a burn-in of 70001 steps: a whole chunk, then 13 bits, so the last byte is
+    # padded; a chunk of 9 bits also carries bits past a whole byte into the next chunk
+    from castream import bitio, engine
+    from castream.cipher import KeystreamSpec, keystream
+    from castream.engine import Configuration, RuleAssignment, rule_from_number
+
+    if chunk is not None:
+        monkeypatch.setattr(engine, "TAP_CHUNK", chunk)
+    argv = ["keystream", "--rules", "30,86,101", "--width", "64", "--key", "random", "--seed", "5",
+            "--cell", "17", "--length", "65549", "--burn-in", "70001"]
+    assert main(argv) == EXIT_OK
+    ascii_out = capsysbinary.readouterr().out
+    assert main([*argv, "--stream-format", "raw"]) == EXIT_OK
+    raw_out = capsysbinary.readouterr().out
+    rule = RuleAssignment.cycle([rule_from_number(n) for n in (30, 86, 101)], 64)
+    key = Configuration.random(64, random.Random(5))
+    bits = keystream(key, KeystreamSpec(rule, width=64, tap=17, burn_in=70001), 65549)
+    assert ascii_out == bitio.format_bits(bits).encode()
+    assert raw_out == bitio.pack_bits(bits)
+
+
 def test_keystream_random_key_is_seed_deterministic(capsys):
     argv = ["keystream", "--rule", "30", "--width", "16", "--key", "random", "--seed", "9", "--length", "64"]
     first = run(capsys, *argv)
@@ -192,6 +215,18 @@ def test_spectrum_rule_30(capsys):
     _, out, _ = run(capsys, "spectrum", "--rule", "30")
     assert out.splitlines()[1] == "0,4"
     assert out.splitlines()[5] == "4,2"
+
+
+@pytest.mark.parametrize("only, message", [("30,30", "rules must not repeat, got 30,30"),
+                                           ("300", "rule number 300 out of range 0..255")])
+def test_a_bad_only_list_is_rejected_before_the_scan(capsys, monkeypatch, only, message):
+    import castream.spectrum
+
+    def no_scan(orders):
+        raise AssertionError("scan_rules ran")
+
+    monkeypatch.setattr(castream.spectrum, "scan_rules", no_scan)
+    assert run(capsys, "scan", "--only", only) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
 def test_scan_reproduces_reference_table(capsys):

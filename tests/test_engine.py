@@ -4,9 +4,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from castream import engine
+from castream.cipher import KeystreamSpec, keystream
 from castream.engine import (
     Configuration,
     Rule,
@@ -195,6 +197,44 @@ def test_temporal_sequence_matches_repeated_step(radius, uniform, length, data):
         expected.append(config.cells[cell])
         config = step(config, rule)
     assert temporal_sequence(Configuration(cells), rule, cell, length) == tuple(expected)
+
+
+def generators(radius, width):
+    """Uniform rules, per-cell assignments, and the hybrid {30, 86, 101} tiled around the ring."""
+    rules = st.lists(rule_numbers(radius), min_size=width, max_size=width)
+    picks = st.one_of(
+        rule_numbers(radius).map(lambda n: [n]),
+        rules,
+        *([st.just([30, 86, 101])] if radius == 1 else []),
+    )
+    return picks.map(lambda numbers: rule_from_number(numbers[0], radius) if len(numbers) == 1
+                     else RuleAssignment.cycle([rule_from_number(n, radius) for n in numbers], width))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 8, 9])
+@given(radius=st.sampled_from((1, 2)), burn_in=st.integers(0, 20), length=st.integers(1, 30), data=st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_tap_chunks_match_the_iterated_reference(monkeypatch, chunk, radius, burn_in, length, data):
+    # tiny chunks cross chunk boundaries, and with them the burn-in's end, within a few steps
+    monkeypatch.setattr(engine, "TAP_CHUNK", chunk)
+    cells = data.draw(rings(2 * radius + 1))
+    rule = data.draw(generators(radius, len(cells)))
+    cell = data.draw(st.integers(0, len(cells) - 1))
+    column, state = [], cells
+    for _ in range(burn_in + length):
+        column.append(state[cell])
+        state = reference_step(state, rule)
+    assert temporal_sequence(Configuration(cells), rule, cell, burn_in + length) == tuple(column)
+    spec = KeystreamSpec(rule, width=len(cells), tap=cell, burn_in=burn_in)
+    assert keystream(Configuration(cells), spec, length) == tuple(column[burn_in:])
+
+
+def test_a_rule_holds_its_table_as_a_tuple_of_ints():
+    rule = Rule(1, [0, 1, 1, 1, 1, 0, 0, 0])
+    assert rule.truth_table == (0, 1, 1, 1, 1, 0, 0, 0)
+    assert hash(rule) == hash(rule_from_number(30)) and rule == rule_from_number(30)
+    assert step(Configuration((0, 1, 0, 1, 1)), rule).cells == reference_step((0, 1, 0, 1, 1), rule)
+    assert Rule(1, (True,) + (False,) * 7).truth_table == (1,) + (0,) * 7
 
 
 def test_step_rejects_too_narrow_ring():
