@@ -75,13 +75,17 @@ def unpack_bits(data: bytes, count: int) -> Bits:
 
 
 def _unpacked(data: bytes, count: int) -> bytes:
-    if count < 0 or count > 8 * len(data):
-        raise ValueError(f"cannot read {count} bits from {len(data)} bytes")
+    _check_count(count, len(data))
     size = (count + 7) // 8
     if not size:
         return b""
     text = format(int.from_bytes(data[:size], "big"), f"0{8 * size}b")[:count]
     return text.encode().translate(_TO_CELLS)
+
+
+def _check_count(count: int, size: int) -> None:
+    if count < 0 or count > 8 * size:
+        raise ValueError(f"cannot read {count} bits from {size} bytes")
 
 
 def diagram_text(diagram: SpaceTimeDiagram) -> str:

@@ -12,9 +12,13 @@ exhausted its trial budget, 5 statistical battery failed.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from contextlib import nullcontext
+from functools import cache
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 # the other layers (and numpy) are imported by the commands that run them
 from . import bitio
@@ -97,36 +101,31 @@ _positive_int = _int_at_least(1, "positive")
 _seed = _int_at_least(0, "non-negative")
 
 
-def _emit(text: str | Iterable[str], out: str | None) -> None:
-    """Write one string, or each string of an iterable in turn."""
-    chunks = (text,) if isinstance(text, str) else text
-    if out is None:
-        sys.stdout.writelines(chunks)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.writelines(chunks)
+def _emit(data: str | Iterable[bytes], out: str | None) -> None:
+    """Write text, or each bytes chunk of an iterable as it comes, to stdout or the file ``out``."""
+    sys.stdout.flush()  # text already written to stdout comes first
+    with open(out, "wb") if out is not None else nullcontext(sys.stdout.buffer) as handle:
+        handle.writelines((data.encode(),) if isinstance(data, str) else data)
 
 
-def _emit_stream(cells: Iterable[bytes], fmt: str, out: str | None) -> None:
-    """Write a stream given as chunks of 0/1 bytes, each chunk as it comes."""
-    data = bitio._encoded(cells, fmt)
-    if out is None:
-        sys.stdout.flush()  # text already written to stdout comes first
-        sys.stdout.buffer.writelines(data)
-    else:
-        with open(out, "wb") as handle:
-            handle.writelines(data)
-
-
-def _read_stream(path: str, fmt: str, bits: int | None) -> bytes:
-    """The stream in a file as 0/1 bytes."""
+def _read_stream(path: str, fmt: str, bits: int | None, keep: int | None = None) -> tuple[bytes, int]:
+    """The stream in a file as 0/1 bytes, or only its first ``keep`` bits, and its length in bits; ASCII
+    text is read and checked 1 MiB at a time, and a raw file only as far as is kept."""
     if fmt == "ascii":
+        parts, count = [], 0
         with open(path, encoding="utf-8") as handle:
-            return bitio._parsed(handle.read())
+            for text in iter(lambda: handle.read(1 << 20), ""):
+                cells = bitio._parsed(text)  # every piece is checked, kept or not
+                if keep is None or count < keep:
+                    parts.append(cells)
+                count += len(cells)
+        return b"".join(parts)[:keep], count
     if bits is None:
         raise ValueError("--bits is required with --stream-format raw")
     with open(path, "rb") as handle:
-        return bitio._unpacked(handle.read(), bits)
+        bitio._check_count(bits, os.fstat(handle.fileno()).st_size)
+        held = bits if keep is None else min(bits, keep)
+        return bitio._unpacked(handle.read((held + 7) // 8), held), bits
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
@@ -145,13 +144,13 @@ def cmd_keystream(args: argparse.Namespace) -> int:
     key = _ring(args, args.key, "--key", ("zero", "random"))
     rule = _build_rule(args)
     spec = KeystreamSpec(rule=rule, width=key.width, tap=args.cell, burn_in=args.burn_in)
-    _emit_stream(_keystream_chunks(key, spec, args.length), args.stream_format, args.out)
+    _emit(bitio._encoded(_keystream_chunks(key, spec, args.length), args.stream_format), args.out)
     return EXIT_OK
 
 
 def _cmd_xor(args: argparse.Namespace) -> int:
-    message = _read_stream(args.infile, args.stream_format, args.bits)
-    key = _read_stream(args.key, args.stream_format, args.key_bits or args.bits)
+    message, _ = _read_stream(args.infile, args.stream_format, args.bits)
+    key, _ = _read_stream(args.key, args.stream_format, args.key_bits or args.bits)
     if len(key) != len(message):
         if not args.allow_key_reuse:
             raise ValueError(
@@ -164,26 +163,48 @@ def _cmd_xor(args: argparse.Namespace) -> int:
     # XOR is its own inverse, so encrypt and decrypt are one operation; as the bytes hold 0 or 1,
     # the XOR of the two big-endian ints is the XOR of every bit
     result = int.from_bytes(message, "big") ^ int.from_bytes(key, "big")
-    _emit_stream((result.to_bytes(len(message), "big"),), args.stream_format, args.out)
+    _emit(bitio._encoded((result.to_bytes(len(message), "big"),), args.stream_format), args.out)
     return EXIT_OK
 
 
-def _spectrum_csv(values: np.ndarray) -> Iterator[str]:
-    """``omega,value`` lines, formatted ``CSV_CHUNK_ROWS`` rows at a time."""
+@cache
+def _digit_groups() -> np.ndarray:
+    """Each number x below 10^4 in decimal as one 4-byte word (uint32): entry x with its
+    leading zeros as byte 0 (0 itself is "0"), entry 10^4 + x zero-padded."""
     import numpy as np
-    yield "omega,value\n"
-    for start in range(0, len(values), CSV_CHUNK_ROWS):
-        chunk = values[start : start + CSV_CHUNK_ROWS]
-        rows = np.stack((np.arange(start, start + len(chunk)), chunk), axis=1)
-        # one %-format over the whole chunk: about half the time of a per-row f-string
-        yield "%d,%d\n" * len(chunk) % tuple(rows.ravel().tolist())
+    from .spectrum import MAX_TRANSFORM_VARIABLES
+    assert 1 << MAX_TRANSFORM_VARIABLES < 10**8  # so every omega and |W| is two 4-digit groups
+    # uint16, as int64 temporaries would add about 1 MB to the peak RSS of a small spectrum
+    numbers, powers = np.arange(10**4, dtype=np.uint16)[:, None], np.array([1000, 100, 10, 1], dtype=np.uint16)
+    padded = (numbers // powers % 10 + ord("0")).astype(np.uint8)
+    loose = padded * ((numbers >= powers) | (powers == 1))  # the last digit stays, so 0 is "0"
+    return np.concatenate((loose, padded)).view(np.uint32).ravel()
+
+
+def _spectrum_rows(start: int, values: np.ndarray) -> bytes:
+    """The CSV lines ``omega,value`` of ``values`` at omega = start, start + 1, ...: each row is six
+    uint32 words, omega's two 4-digit groups, "," or ",-", |value|'s two and "\\n", less every zero byte."""
+    import numpy as np
+    groups = _digit_groups()
+    words = np.empty((len(values), 6), dtype=np.uint32)
+    for column, number in ((0, np.arange(start, start + len(values), dtype=np.int32)), (3, np.abs(values))):
+        high = number // 10**4
+        wide = high > 0  # the number has digits in its high group, so its low group is zero-padded
+        words[:, column] = groups.take(high) * wide
+        words[:, column + 1] = groups.take(number - high * 10**4 + wide * 10**4)
+    comma, minus, newline = np.frombuffer(b",\0\0\0,-\0\0\n\0\0\0", dtype=np.uint32)
+    words[:, 2] = np.where(values < 0, minus, comma)
+    words[:, 5] = newline
+    return words.tobytes().translate(None, b"\0")
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     from .spectrum import iterate_rule, walsh_transform
     rule = Rule.from_number(args.rule, args.radius)
-    spectrum = walsh_transform(iterate_rule(rule, args.order))
-    _emit(_spectrum_csv(spectrum.array), args.out)
+    values = walsh_transform(iterate_rule(rule, args.order)).array
+    starts = range(0, len(values), CSV_CHUNK_ROWS)
+    rows = (_spectrum_rows(start, values[start : start + CSV_CHUNK_ROWS]) for start in starts)
+    _emit(chain([b"omega,value\n"], rows), args.out)
     return EXIT_OK
 
 
@@ -264,13 +285,12 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 def cmd_fips(args: argparse.Namespace) -> int:
     from .fips import SAMPLE_BITS, Thresholds, fips_battery
-    stream = _read_stream(args.infile, args.stream_format, args.bits)
-    if len(stream) < SAMPLE_BITS:
-        raise ValueError(f"need at least {SAMPLE_BITS} bits, got {len(stream)}")
-    window = stream[:SAMPLE_BITS]
+    sample, count = _read_stream(args.infile, args.stream_format, args.bits, SAMPLE_BITS)
+    if count < SAMPLE_BITS:
+        raise ValueError(f"need at least {SAMPLE_BITS} bits, got {count}")
     thresholds = Thresholds.from_file(args.thresholds) if args.thresholds else Thresholds.default()
-    report = fips_battery(window, thresholds)
-    text = f"input.bits = {len(stream)}\ntested.bits = {SAMPLE_BITS}\n" + report.to_text()
+    report = fips_battery(sample, thresholds)
+    text = f"input.bits = {count}\ntested.bits = {SAMPLE_BITS}\n" + report.to_text()
     _emit(text, args.out)
     return EXIT_OK if report.passed else EXIT_TEST_FAILED
 

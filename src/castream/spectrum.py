@@ -17,14 +17,16 @@ A function is held as its packed truth table, one 2^n-bit int.  A single
 spectral value needs no transform: ``W(omega) = |F| - 2 |F and <x, omega>|``
 is two popcounts, which is how balancedness, the min-max scores and the
 bias are computed, with no numpy.  The full spectrum is one butterfly over
-a numpy int64 array of 2^n entries; numpy is imported only where that array
-is made or read.  ``MAX_TRANSFORM_VARIABLES`` caps it at 2^24 entries
-(128 MB); the largest function ``iterate_rule`` reaches has 23 variables
-(rule 30 at order 11), where the CLI ``spectrum`` command peaks at 136 MB.
+a numpy int32 array of 2^n entries, whose first three levels are a lookup of
+each byte of the packed table; numpy is imported only where that array is
+made or read.  ``MAX_TRANSFORM_VARIABLES`` caps it at 2^24 entries (64 MB);
+the largest function ``iterate_rule`` reaches has 23 variables (rule 30 at
+order 11), where the CLI ``spectrum`` command peaks at 92 MB of RSS.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -97,14 +99,14 @@ class BooleanFunction:
 class WalshSpectrum:
     """Integer spectrum indexed by masks omega in [0, 2^n).
 
-    Held as one read-only int64 array; ``values`` is derived from it.
+    Held as one read-only int32 array; ``values`` is derived from it.
     """
 
     array: np.ndarray
 
     def __init__(self, values: Iterable[int]) -> None:
         import numpy as np
-        array = np.asarray(values, dtype=np.int64).view()
+        array = np.asarray(values, dtype=np.int32).view()
         array.flags.writeable = False
         object.__setattr__(self, "array", array)
 
@@ -119,7 +121,7 @@ class WalshSpectrum:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WalshSpectrum):
             return NotImplemented
-        return self.array.tobytes() == other.array.tobytes()  # both int64, as in __hash__
+        return self.array.tobytes() == other.array.tobytes()  # both int32, as in __hash__
 
     def __hash__(self) -> int:
         return hash(self.array.tobytes())
@@ -151,22 +153,34 @@ def iterate_rule(rule: Rule, order: int) -> BooleanFunction:
 
 
 def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
-    """Exact integer spectrum via the in-place butterfly (n * 2^n adds)."""
+    """Exact int32 spectrum (|W| <= 2^24) via the in-place butterfly, its first 3 levels a byte lookup."""
     if f.n > MAX_TRANSFORM_VARIABLES:
         raise ValueError(f"function has {f.n} variables (max {MAX_TRANSFORM_VARIABLES})")
     import numpy as np
     size = 1 << f.n
     packed = np.frombuffer(f._table.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
-    a = np.unpackbits(packed, count=size, bitorder="little").astype(np.int64)
-    h = 1
-    while h < size:
+    # a table of fewer than 8 entries is zero past them, so its spectrum is the head of the 8-point one
+    return WalshSpectrum(_butterfly(_byte_spectra()[packed].ravel()[:size], 8, size))
+
+
+def _butterfly(a: np.ndarray, h: int, stop: int) -> np.ndarray:
+    """The butterfly levels h, 2h, ... below ``stop``, run in place on the flat array ``a``."""
+    while h < stop:
         blocks = a.reshape(-1, 2, h)
         upper, lower = blocks[:, 0, :], blocks[:, 1, :]
         upper += lower  # u + l
         lower *= -2
         lower += upper  # (u + l) - 2l = u - l
         h *= 2
-    return WalshSpectrum(a)
+    return a
+
+
+@cache
+def _byte_spectra() -> np.ndarray:
+    """Row b: the int32 spectrum of the 8 entries packed in byte b, entry j = bit j."""
+    import numpy as np
+    entries = np.unpackbits(np.arange(256, dtype=np.uint8), bitorder="little").astype(np.int32)
+    return _butterfly(entries, 1, 8).reshape(256, 8)
 
 
 def _walsh_value(f: BooleanFunction, omega: int) -> int:

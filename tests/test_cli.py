@@ -383,6 +383,27 @@ def test_fips_short_stream_rejected(tmp_path, capsys):
     assert "20000" in err
 
 
+def test_fips_checks_every_character_of_a_long_file(tmp_path, capsys):
+    # only the first 20000 bits are tested, but the text is read to its end
+    stream = tmp_path / "long.bits"
+    stream.write_text("01" * 5_000_000 + "2\n")
+    assert run(capsys, "fips", "--in", str(stream)) == (EXIT_USAGE, "", "error: invalid character '2' in bitstream text\n")
+
+
+def test_fips_reads_the_head_of_a_raw_file(tmp_path, capsys):
+    bits = [random.Random(3).getrandbits(1) for _ in range(20_013)]
+    ascii_path, raw_path = tmp_path / "ks.txt", tmp_path / "ks.bin"
+    ascii_path.write_text("".join(map(str, bits)) + "\n")
+    raw_path.write_bytes(int("".join(map(str, bits)) + "000", 2).to_bytes(2502, "big"))
+    code, expected, _ = run(capsys, "fips", "--in", str(ascii_path))
+    assert "input.bits = 20013" in expected
+    assert run(capsys, "fips", "--in", str(raw_path), "--stream-format", "raw", "--bits", "20013")[:2] == (
+        code, expected)
+    for count in ("20017", "-1"):
+        assert run(capsys, "fips", "--in", str(raw_path), "--stream-format", "raw", "--bits", count) == (
+            EXIT_USAGE, "", f"error: cannot read {count} bits from 2502 bytes\n")
+
+
 def test_identical_command_lines_are_byte_identical(capsys):
     argv = ["scan", "--orders", "1..3", "--only", "30,86"]
     assert run(capsys, *argv) == run(capsys, *argv)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from castream.cli import main
+from castream.cli import CSV_CHUNK_ROWS, _spectrum_rows, main
 from castream.engine import rule_from_number
 from castream.spectrum import (
     BooleanFunction,
@@ -427,6 +427,42 @@ def test_spectrum_csv_matches_per_row_renderer(tmp_path, capsys, rule, radius, o
     path = tmp_path / "spectrum.csv"
     assert main(argv + ["--out", str(path)]) == 0
     assert first_difference(path.read_bytes().decode(), expected) is None
+
+
+_EDGE_VALUES = (0, 9_999, -9_999, 10_000, -10_000, 10**7, -(10**7), 1 << 24, -(1 << 24))
+
+
+@given(
+    length=st.integers(1, 3 * CSV_CHUNK_ROWS),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_spectrum_rows_match_per_row_formatting(length, data, seed):
+    # the rows run across a digit-count boundary of omega (or start at omega 0), with values of
+    # every digit count in [-2^24, 2^24] and the edges of the 4-digit groups placed among them
+    anchor = data.draw(st.sampled_from([0, 10**4, 10**7, (1 << 24) - 1]), label="anchor")
+    start = max(0, anchor - data.draw(st.integers(0, length), label="offset"))
+    rng = np.random.default_rng(seed)
+    values = rng.integers(-(1 << 24), (1 << 24) + 1, length) >> rng.integers(0, 25, length)
+    for position, value in data.draw(st.lists(st.tuples(st.integers(0, length - 1), st.sampled_from(_EDGE_VALUES)))):
+        values[position] = value
+    values = values.astype(np.int32)
+    expected = "".join(f"{start + i},{value}\n" for i, value in enumerate(values.tolist())).encode()
+    assert _spectrum_rows(start, values) == expected
+
+
+def test_int32_spectrum_is_exact_at_24_variables():
+    n = 24
+    ones = walsh_transform(BooleanFunction._packed((1 << (1 << n)) - 1, n))
+    assert ones.array.dtype == np.int32
+    assert ones.array[0] == 1 << n and not ones.array[1:].any()
+    # .values of the whole spectrum would be a 2^24-entry tuple; its head shows the conversion
+    head = WalshSpectrum(ones.array[:4]).values
+    assert type(head) is tuple and all(type(v) is int for v in head) and head == (1 << n, 0, 0, 0)
+    del ones
+    x0 = walsh_transform(BooleanFunction._packed(int.from_bytes(b"\xaa" * (1 << (n - 3)), "little"), n))  # F = x_0
+    assert (x0.array[0], x0.array[1]) == (1 << (n - 1), -(1 << (n - 1))) and not x0.array[2:].any()
 
 
 def first_difference(text, expected):
