@@ -13,9 +13,7 @@ though they are not linear in the strict constant-free sense.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .engine import Rule, _anf
+from .engine import Rule, _anf, _Record
 
 __all__ = [
     "AffineDecomposition",
@@ -63,8 +61,7 @@ def equivalence_class(rule: Rule) -> frozenset[int]:
     )
 
 
-@dataclass(frozen=True)
-class AffineDecomposition:
+class AffineDecomposition(_Record):
     """Result of testing a rule for affine structure.
 
     When ``is_affine``, the rule output equals ``constant XOR (XOR of the

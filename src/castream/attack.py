@@ -33,11 +33,12 @@ returned as a ring configuration whose cell 0 is the tap cell.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .engine import Configuration, Rule, _anf, _kernel, _pack, _states
+from .engine import Configuration, Rule, _anf, _kernel, _pack, _Record, _states
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "PartialDiagram",
@@ -83,8 +84,7 @@ def backward_step(rule: Rule, next_center: int, center: int, right: int) -> int:
     return next_center ^ rule.truth_table[(center << 1) | right]
 
 
-@dataclass
-class PartialDiagram:
+class PartialDiagram(_Record, frozen=False):
     """Triangular space-time window around an observed column, held packed.
 
     Row k of a width-N diagram spans offsets ``-(N-1-k) .. N-1-k``.  The
@@ -97,6 +97,9 @@ class PartialDiagram:
     width: int
     rows: Optional[tuple[int, ...]]
     columns: Optional[tuple[int, ...]]
+
+    def __init__(self, width: int, rows: Optional[tuple[int, ...]], columns: Optional[tuple[int, ...]]) -> None:
+        self.width, self.rows, self.columns = width, rows, columns  # one a trial: not the generic init
 
     @classmethod
     def blank(cls, width: int) -> "PartialDiagram":
@@ -161,8 +164,7 @@ def backward_completion(rule: Rule, diagram: PartialDiagram) -> Configuration:
     return Configuration._packed(key, n)
 
 
-@dataclass(frozen=True)
-class AttackResult:
+class AttackResult(_Record):
     """A key that reproduces the observation, plus how much work it took."""
 
     recovered_key: Configuration
@@ -224,6 +226,7 @@ def attack(
 
 def success_rate(rule: Rule, observed: Sequence[int], trials: int, seed: int) -> Fraction:
     """Fraction of independent single-guess attacks that reproduce the observation."""
+    from fractions import Fraction
     observed = _checked_observation(rule, observed, trials, "trials")
     successes = sum(_trial(rule, observed, seed, trial)[2] for trial in range(trials))
     return Fraction(successes, trials)

@@ -7,10 +7,12 @@ plain text (one row per line) or as an ASCII portable bitmap (P1) where a
 live cell is a black pixel.
 
 The command-line tool holds streams as 0/1 bytes (``_parsed``, ``_unpacked``)
-and writes them chunk by chunk as they are made (``_encoded``).
+and writes them chunk by chunk as they are made (``_encoded``); it renders a
+diagram from packed ring states in the same way (``_diagram``).
 """
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .engine import _TO_CELLS, _TO_DIGITS, SpaceTimeDiagram
@@ -25,6 +27,8 @@ __all__ = [
 ]
 
 Bits = tuple[int, ...]
+
+DIAGRAM_CHUNK_CELLS = 1 << 20  # diagram cells rendered at a time
 
 
 def parse_bits(text: str) -> Bits:
@@ -89,11 +93,28 @@ def _check_count(count: int, size: int) -> None:
 
 
 def diagram_text(diagram: SpaceTimeDiagram) -> str:
-    return "\n".join(map(str, diagram.rows)) + "\n"
+    states = (row._state for row in diagram.rows)
+    return b"".join(_diagram(states, diagram.width, len(diagram.rows), "text")).decode()
 
 
 def diagram_pbm(diagram: SpaceTimeDiagram) -> str:
     """P1 portable bitmap, one pixel per cell, 1 = live cell (black)."""
-    lines = ["P1", f"{diagram.width} {len(diagram.rows)}"]
-    lines += (" ".join(str(row)) for row in diagram.rows)
-    return "\n".join(lines) + "\n"
+    states = (row._state for row in diagram.rows)
+    return b"".join(_diagram(states, diagram.width, len(diagram.rows), "pbm")).decode()
+
+
+def _diagram(states: Iterable[int], width: int, height: int, fmt: str) -> Iterator[bytes]:
+    """A diagram of ``height`` packed ring states (bit i = cell i) as a ``text`` or ``pbm`` file, in
+    chunks of whole rows and about ``DIAGRAM_CHUNK_CELLS`` cells.  A P1 chunk is a template of rows
+    of spaces, each ending in a newline, whose even offsets take the cells' digits in one assignment."""
+    if fmt == "pbm":
+        yield f"P1\n{width} {height}\n".encode()
+    spec, states, per_chunk = f"0{width}b", iter(states), max(1, DIAGRAM_CHUNK_CELLS // width)
+    pixel_row = b" " * (2 * width - 1) + b"\n"
+    while rows := [format(state, spec)[::-1] for state in islice(states, per_chunk)]:
+        if fmt == "pbm":
+            chunk = bytearray(pixel_row * len(rows))
+            chunk[0::2] = "".join(rows).encode()
+            yield chunk
+        else:
+            yield ("\n".join(rows) + "\n").encode()

@@ -8,18 +8,16 @@ one-time-use discipline in the caller's face.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
-from .engine import Configuration, RuleLike, _pack, _taps, _unpack
+from .engine import Configuration, RuleLike, _pack, _Record, _taps, _unpack
 
 __all__ = ["KeystreamSpec", "keystream", "vernam_encrypt", "vernam_decrypt"]
 
 Bits = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class KeystreamSpec:
+class KeystreamSpec(_Record):
     """Generator wiring: rule (or per-cell assignment), ring width, tap cell, burn-in."""
 
     rule: RuleLike

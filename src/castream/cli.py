@@ -13,19 +13,17 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 from contextlib import nullcontext
 from functools import cache
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-# the other layers (and numpy) are imported by the commands that run them
-from . import bitio
-from .engine import Configuration, Rule, RuleAssignment, RuleLike, evolve
-
+# the layers (and numpy) are imported by the commands that run them, so --help loads none
 if TYPE_CHECKING:
     import numpy as np
+
+    from .engine import Configuration, RuleLike
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -47,6 +45,7 @@ def _rule_numbers(text: str, flag: str) -> list[int]:
 
 
 def _build_rule(args: argparse.Namespace) -> RuleLike:
+    from .engine import Rule, RuleAssignment
     if args.rules:
         numbers = _rule_numbers(args.rules, "--rules")
         if not numbers:
@@ -64,6 +63,7 @@ def _ring(args: argparse.Namespace, text: str, flag: str, named: tuple[str, ...]
     Sets ``args.width`` to the ring's width, and checks it against the cap
     before a named ring is allocated.
     """
+    from .engine import Configuration
     if text not in named:
         literal = Configuration.from_bits(text)
         if args.width is not None and args.width != literal.width:
@@ -78,6 +78,7 @@ def _ring(args: argparse.Namespace, text: str, flag: str, named: tuple[str, ...]
     if text not in named:
         return literal
     if text == "random":
+        import random
         return Configuration.random(args.width, random.Random(args.seed))
     return Configuration.single(args.width) if text == "single" else Configuration.zeros(args.width)
 
@@ -111,6 +112,7 @@ def _emit(data: str | Iterable[bytes], out: str | None) -> None:
 def _read_stream(path: str, fmt: str, bits: int | None, keep: int | None = None) -> tuple[bytes, int]:
     """The stream in a file as 0/1 bytes, or only its first ``keep`` bits, and its length in bits; ASCII
     text is read and checked 1 MiB at a time, and a raw file only as far as is kept."""
+    from . import bitio
     if fmt == "ascii":
         parts, count = [], 0
         with open(path, encoding="utf-8") as handle:
@@ -129,17 +131,16 @@ def _read_stream(path: str, fmt: str, bits: int | None, keep: int | None = None)
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
+    from . import bitio
+    from .engine import _states
     config = _ring(args, args.init, "--init", ("single", "zero", "random"))
-    rule = _build_rule(args)
-    diagram = evolve(config, rule, args.steps)
-    if args.format == "pbm":
-        _emit(bitio.diagram_pbm(diagram), args.out)
-    else:
-        _emit(bitio.diagram_text(diagram), args.out)
+    states = _states(config, _build_rule(args), args.steps)  # rendered and written as they are made
+    _emit(bitio._diagram(states, config.width, args.steps + 1, args.format), args.out)
     return EXIT_OK
 
 
 def cmd_keystream(args: argparse.Namespace) -> int:
+    from . import bitio
     from .cipher import KeystreamSpec, _keystream_chunks
     key = _ring(args, args.key, "--key", ("zero", "random"))
     rule = _build_rule(args)
@@ -149,6 +150,7 @@ def cmd_keystream(args: argparse.Namespace) -> int:
 
 
 def _cmd_xor(args: argparse.Namespace) -> int:
+    from . import bitio
     message, _ = _read_stream(args.infile, args.stream_format, args.bits)
     key, _ = _read_stream(args.key, args.stream_format, args.key_bits or args.bits)
     if len(key) != len(message):
@@ -199,6 +201,7 @@ def _spectrum_rows(start: int, values: np.ndarray) -> bytes:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
+    from .engine import Rule
     from .spectrum import iterate_rule, walsh_transform
     rule = Rule.from_number(args.rule, args.radius)
     values = walsh_transform(iterate_rule(rule, args.order)).array
@@ -230,6 +233,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     from .algebra import affine_decomposition, conjugate, conjugate_reflect, equivalence_class, reflect
+    from .engine import Rule
     from .spectrum import correlation_immunity_order, is_balanced, iterate_rule
     rule = Rule.from_number(args.rule)
     f = iterate_rule(rule, 1)
@@ -248,7 +252,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
+    from . import bitio
     from .attack import TrialsExhaustedError, attack
+    from .engine import Rule
     observed = bitio.parse_bits(args.sequence)
     if args.width is not None and args.width != len(observed):
         raise ValueError(f"--width {args.width} does not match sequence of length {len(observed)}")

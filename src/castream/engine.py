@@ -16,14 +16,19 @@ with one shift and masks once; before each step the loop writes a tap cell's
 bit as a 0/1 byte, and tap bits leave in chunks of ``TAP_CHUNK``, so that a
 keystream is written as it is made.  Rows that ``step`` and ``evolve`` make
 are not re-validated: ``_pack`` is the one check that bits are 0 or 1.
+
+Every value class of the package derives from ``_Record``, which gives it
+the construction, comparison, hashing and printing of a frozen dataclass
+without importing ``dataclasses``.
 """
 from __future__ import annotations
 
 import functools
 import operator
-import random
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence, Union
+
+if TYPE_CHECKING:
+    import random
 
 __all__ = [
     "Rule",
@@ -44,9 +49,63 @@ TAP_CHUNK = 1 << 16  # tap bits a chunk holds: a multiple of 8, so each chunk pa
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _TO_CELLS = bytes.maketrans(b"01", b"\x00\x01")
 
+_set = object.__setattr__  # how a record writes its own fields
 
-@dataclass(frozen=True)
-class Rule:
+
+class _Record:
+    """A value class: its fields are the names annotated in its body, in order,
+    and a field assigned in the body has that default.
+
+    It is built from positional or keyword arguments, after which
+    ``__post_init__`` runs; it compares (with its own class only), hashes and
+    prints by its fields, and it is frozen.  A subclass declared with
+    ``frozen=False`` may be changed and has no hash.  A subclass may override
+    any of these.
+    """
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        cls._values = operator.attrgetter(*cls._fields)  # one field's value, or a tuple of them
+        if not frozen:
+            cls.__setattr__, cls.__delattr__, cls.__hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        if len(args) > len(fields) or kwargs.keys() & set(fields[: len(args)]) or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields ({', '.join(fields)}), "
+                            f"got {len(args)} positional arguments and the keywords {sorted(kwargs)}")
+        for field in fields:
+            _set(self, field, values[field])
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError  # loaded only when a record is written to
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Rule(_Record):
     """A local rule: truth table over the 2*radius+1 neighborhood.
 
     ``truth_table[x]`` is the output for the neighborhood whose cells, read
@@ -56,16 +115,27 @@ class Rule:
     radius: int
     truth_table: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.radius not in SUPPORTED_RADII:
-            raise ValueError(f"unsupported radius {self.radius}; must be one of {SUPPORTED_RADII}")
-        expected = 1 << (2 * self.radius + 1)
-        if len(self.truth_table) != expected:
-            raise ValueError(f"truth table must have {expected} entries for radius {self.radius}, "
-                             f"got {len(self.truth_table)}")
-        _pack(self.truth_table, "truth table entries")  # raises unless each entry is 0 or 1
-        if type(self.truth_table) is not tuple:  # a list or an array is unhashable, and rules are cache keys
-            object.__setattr__(self, "truth_table", tuple(map(int, self.truth_table)))
+    def __init__(self, radius: int, truth_table: Sequence[int]) -> None:  # scans build thousands
+        if radius not in SUPPORTED_RADII:
+            raise ValueError(f"unsupported radius {radius}; must be one of {SUPPORTED_RADII}")
+        expected = 1 << (2 * radius + 1)
+        if len(truth_table) != expected:
+            raise ValueError(f"truth table must have {expected} entries for radius {radius}, "
+                             f"got {len(truth_table)}")
+        _pack(truth_table, "truth table entries")  # raises unless each entry is 0 or 1
+        if type(truth_table) is not tuple:  # a list or an array is unhashable, and rules are cache keys
+            truth_table = tuple(map(int, truth_table))
+        _set(self, "radius", radius)
+        _set(self, "truth_table", truth_table)
+
+    # rules are cache keys: these two are written out, as the generic ones take about half as long again
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.radius == other.radius and self.truth_table == other.truth_table
+
+    def __hash__(self) -> int:
+        return hash((self.radius, self.truth_table))
 
     @property
     def number(self) -> int:
@@ -100,8 +170,7 @@ class Rule:
         return f"Rule({self.number}, radius={self.radius})"
 
 
-@dataclass(frozen=True)
-class RuleAssignment:
+class RuleAssignment(_Record):
     """One rule per ring cell; all rules must share a radius."""
 
     rules: tuple[Rule, ...]
@@ -129,8 +198,7 @@ class RuleAssignment:
         return cls(tuple(rules[i % len(rules)] for i in range(width)))
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class Configuration:
+class Configuration(_Record):
     """A ring of binary cells; cell indices wrap modulo the width.
 
     Held packed, as one int with bit i = cell i plus the width; ``cells`` and
@@ -142,15 +210,15 @@ class Configuration:
 
     def __init__(self, cells: Sequence[int]) -> None:
         width = _checked_width(len(cells))
-        object.__setattr__(self, "_state", _pack(cells, "cells"))
-        object.__setattr__(self, "width", width)
+        _set(self, "_state", _pack(cells, "cells"))
+        _set(self, "width", width)
 
     @classmethod
     def _packed(cls, state: int, width: int) -> "Configuration":
         """A ring from a packed state the caller knows to fit ``width``; not validated."""
         config = object.__new__(cls)
-        object.__setattr__(config, "_state", state)
-        object.__setattr__(config, "width", width)
+        _set(config, "_state", state)
+        _set(config, "width", width)
         return config
 
     @property
@@ -195,8 +263,7 @@ def _checked_width(width: int) -> int:
     return width
 
 
-@dataclass(frozen=True)
-class SpaceTimeDiagram:
+class SpaceTimeDiagram(_Record):
     """Successive ring configurations; row t is the state at time t."""
 
     rows: tuple[Configuration, ...]
@@ -321,12 +388,19 @@ def _unpack(state: int, width: int) -> tuple[int, ...]:
 
 
 def _states(config: Configuration, rule: RuleLike, steps: int) -> Iterator[int]:
-    """Packed ring states (bit i = cell i) at times 0 .. steps, one call of the ring loop a step."""
-    run, out, state = _loop(rule, config.width), bytearray(1), config._state
-    yield state
-    for _ in range(steps):
-        state = run(state, out, 0)
+    """Packed ring states (bit i = cell i) at times 0 .. steps, one call of the ring loop a step;
+    the arguments are checked on the call."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    run, out = _loop(rule, config.width), bytearray(1)
+
+    def states(state: int) -> Iterator[int]:
         yield state
+        for _ in range(steps):
+            state = run(state, out, 0)
+            yield state
+
+    return states(config._state)
 
 
 def _taps(config: Configuration, rule: RuleLike, cell: int, length: int, burn_in: int = 0) -> Iterator[bytearray]:
@@ -359,8 +433,6 @@ step_nonuniform = step
 
 def evolve(config: Configuration, rule: RuleLike, steps: int) -> SpaceTimeDiagram:
     """Evolve for ``steps`` steps; rows[0] is the initial configuration."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
     return SpaceTimeDiagram(tuple(Configuration._packed(s, config.width) for s in _states(config, rule, steps)))
 
 

@@ -13,11 +13,10 @@ constants baked into the test logic; the defaults come from the standard
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, Sequence
 
-from .engine import _pack
+from .engine import _pack, _Record
 
 __all__ = [
     "SAMPLE_BITS",
@@ -35,8 +34,7 @@ SAMPLE_BITS = 20000
 RUN_LENGTHS = (1, 2, 3, 4, 5, 6)  # length 6 pools all runs of 6 or more
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(_Record):
     """Pass/fail boundaries for the battery, keyed as in the config file."""
 
     values: Mapping[str, float]
@@ -82,16 +80,14 @@ class Thresholds:
         return cls.parse(text)
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(_Record):
     name: str
     passed: bool
     statistics: Mapping[str, float]
     thresholds: Mapping[str, float]
 
 
-@dataclass(frozen=True)
-class TestReport:
+class TestReport(_Record):
     results: tuple[TestResult, ...]
 
     @property

@@ -25,9 +25,7 @@ order 11), where the CLI ``spectrum`` command peaks at 92 MB of RSS.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .algebra import (
@@ -37,9 +35,11 @@ from .algebra import (
     equivalence_class,
     reflect,
 )
-from .engine import Rule, _kernel, _pack, _unpack, _window
+from .engine import Rule, _kernel, _pack, _Record, _set, _unpack, _window
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 __all__ = [
@@ -61,8 +61,7 @@ MAX_TRANSFORM_VARIABLES = 24
 MAX_ITERATION_ORDER = 8
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class BooleanFunction:
+class BooleanFunction(_Record):
     """Truth table over n variables; entry x is the value at x = sum x_i 2^i.
 
     Held packed, as one 2^n-bit int with bit x = entry x plus n;
@@ -76,15 +75,15 @@ class BooleanFunction:
         size = len(truth_table)
         if size < 2 or size & (size - 1):
             raise ValueError("truth table length must be a power of two >= 2")
-        object.__setattr__(self, "_table", _pack(truth_table, "truth table entries"))
-        object.__setattr__(self, "n", size.bit_length() - 1)
+        _set(self, "_table", _pack(truth_table, "truth table entries"))
+        _set(self, "n", size.bit_length() - 1)
 
     @classmethod
     def _packed(cls, table: int, n: int) -> "BooleanFunction":
         """A function from a packed table the caller knows to fit 2^n bits; not validated."""
         f = object.__new__(cls)
-        object.__setattr__(f, "_table", table)
-        object.__setattr__(f, "n", n)
+        _set(f, "_table", table)
+        _set(f, "n", n)
         return f
 
     @property
@@ -95,8 +94,7 @@ class BooleanFunction:
         return f"BooleanFunction(truth_table={self.truth_table!r})"
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
-class WalshSpectrum:
+class WalshSpectrum(_Record):
     """Integer spectrum indexed by masks omega in [0, 2^n).
 
     Held as one read-only int32 array; ``values`` is derived from it.
@@ -108,7 +106,7 @@ class WalshSpectrum:
         import numpy as np
         array = np.asarray(values, dtype=np.int32).view()
         array.flags.writeable = False
-        object.__setattr__(self, "array", array)
+        _set(self, "array", array)
 
     @property
     def values(self) -> tuple[int, ...]:
@@ -221,6 +219,7 @@ def correlation_bias(f: BooleanFunction, omega: int) -> Fraction:
     """
     if not 1 <= omega < (1 << f.n):
         raise ValueError(f"mask must lie in [1, 2^{f.n}), got {omega}")
+    from fractions import Fraction
     return Fraction(f._table.bit_count() - _walsh_value(f, omega), 1 << f.n)
 
 
@@ -244,8 +243,7 @@ def minmax_score(rule: Rule, order: int) -> tuple[int, int]:
     return cfg, val
 
 
-@dataclass(frozen=True)
-class RuleScan:
+class RuleScan(_Record):
     """Per-rule facts gathered by the exhaustive scan."""
 
     rule: int
@@ -258,8 +256,7 @@ class RuleScan:
     scores: Mapping[int, tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(_Record):
     """Scan of all 256 radius-1 rules over a range of iteration orders."""
 
     orders: tuple[int, ...]

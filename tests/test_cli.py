@@ -519,9 +519,11 @@ _NUMPY_FREE_COMMANDS = [
 _TRANSFORM_COMMANDS = [["spectrum", "--rule", "30", "--out", "sp.csv"], ["classify", "--rule", "30", "--out", "c.txt"]]
 
 # Runs the commands in order in a fresh interpreter and prints, after each, a line listing the
-# modules loaded so far among numpy and castream's own (--help exits through SystemExit).
+# modules loaded so far that were not loaded before castream.cli was imported (--help exits
+# through SystemExit).
 _START_PATH_SCRIPT = """
 import sys
+before = set(sys.modules)
 from castream.cli import main
 for argv in COMMANDS:
     try:
@@ -529,7 +531,7 @@ for argv in COMMANDS:
     except SystemExit as exit:
         code = exit.code
     assert code == 0, argv
-    print("loaded:", *sorted(m for m in sys.modules if m == "numpy" or m.startswith("castream.")))
+    print("loaded:", *sorted(set(sys.modules) - before))
 """
 
 
@@ -577,3 +579,12 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, commands, allowed)
     assert len(loaded) == len(commands)
     assert [modules & _OPTIONAL_LAYERS <= allowed for modules in loaded] == [True] * len(commands), loaded
     assert allowed <= loaded[-1]  # the layer the last command runs is loaded, so the check is not vacuous
+
+
+def test_start_path_loads_no_layer_for_help_and_neither_dataclasses_nor_fractions(tmp_path):
+    help_loaded, *loaded = _loaded_after_each([["--help"], *_NUMPY_FREE_COMMANDS], tmp_path)
+    assert {module for module in help_loaded if module.startswith("castream.")} == {"castream.cli"}
+    assert [modules & {"dataclasses", "fractions"} for modules in loaded] == [set()] * len(_NUMPY_FREE_COMMANDS)
+    # by the last command every layer has been loaded, so the check above is not vacuous
+    assert {"castream.engine", "castream.bitio", "castream.cipher", "castream.fips", "castream.spectrum",
+            "castream.algebra", "castream.attack"} <= loaded[-1]
