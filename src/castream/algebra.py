@@ -33,15 +33,13 @@ def _require_radius_1(rule: Rule) -> None:
 def conjugate(rule: Rule) -> Rule:
     """Complement-equivalent rule: g(x) = NOT f(NOT x), per neighborhood bit."""
     _require_radius_1(rule)
-    table = tuple(1 - rule.truth_table[x ^ 0b111] for x in range(8))
-    return Rule(1, table)
+    return Rule.from_number(_conjugate(rule.number))
 
 
 def reflect(rule: Rule) -> Rule:
     """Mirror-equivalent rule: g(x) = f(x with neighborhood order reversed)."""
     _require_radius_1(rule)
-    table = tuple(rule.truth_table[_reverse3(x)] for x in range(8))
-    return Rule(1, table)
+    return Rule.from_number(_reflect(rule.number))
 
 
 def conjugate_reflect(rule: Rule) -> Rule:
@@ -49,16 +47,21 @@ def conjugate_reflect(rule: Rule) -> Rule:
     return conjugate(reflect(rule))
 
 
-def _reverse3(x: int) -> int:
-    return ((x & 1) << 2) | (x & 2) | (x >> 2)
+def _conjugate(number: int) -> int:
+    """The conjugate's rule number: bit x is NOT bit 7 - x (NOT x is 7 - x on three bits)."""
+    return int(f"{number:08b}"[::-1], 2) ^ 0xFF
+
+
+def _reflect(number: int) -> int:
+    """The reflection's rule number: bits 1 (001) and 4 (100) swap, as do 3 (011) and 6 (110)."""
+    return number & 0xA5 | (number & 0x0A) << 3 | (number & 0x50) >> 3
 
 
 def equivalence_class(rule: Rule) -> frozenset[int]:
     """Rule numbers of the closure under conjugation and reflection."""
     _require_radius_1(rule)
-    return frozenset(
-        (rule.number, conjugate(rule).number, reflect(rule).number, conjugate_reflect(rule).number)
-    )
+    number = rule.number
+    return frozenset((number, _conjugate(number), _reflect(number), _conjugate(_reflect(number))))
 
 
 class AffineDecomposition(_Record):

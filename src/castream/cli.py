@@ -310,94 +310,105 @@ def _add_rule_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser of ``argv``: every command with its help line, which is all that ``--help`` and
+    a bad command name print, and the arguments of the command that ``argv`` names only.
+
+    That command is the first token that is no option: argparse takes it as the command, as no
+    option of the top level takes a value.
+    """
     parser = argparse.ArgumentParser(
         prog="castream",
         description="Cellular-automaton keystream workbench: simulate, analyze, attack.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
 
-    p = sub.add_parser("evolve", help="render a space-time diagram")
-    _add_rule_flags(p)
-    p.add_argument("--width", type=int, help="ring width")
-    p.add_argument("--steps", type=int, required=True, help="number of time steps")
-    p.add_argument("--init", required=True, help="single | zero | random | literal bits")
-    p.add_argument("--seed", type=_seed, help="seed for --init random")
-    p.add_argument("--format", choices=("text", "pbm"), default="text")
-    p.add_argument("--max-width", type=_positive_int, default=DEFAULT_MAX_WIDTH, help="ring width cap")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(func=cmd_evolve)
+    def command(name: str, help: str) -> argparse.ArgumentParser | None:
+        p = sub.add_parser(name, help=help)
+        return p if name == named else None
 
-    p = sub.add_parser("keystream", help="emit the tap-cell sequence of a keyed ring")
-    _add_rule_flags(p)
-    p.add_argument("--width", type=int, help="ring width")
-    p.add_argument("--key", required=True, help="literal bits | random | zero")
-    p.add_argument("--seed", type=_seed, help="seed for --key random")
-    p.add_argument("--cell", type=int, default=0, help="tap cell index")
-    p.add_argument("--length", type=int, required=True, help="number of keystream bits")
-    p.add_argument("--burn-in", type=int, default=0, help="steps discarded before output")
-    p.add_argument("--stream-format", choices=("ascii", "raw"), default="ascii")
-    p.add_argument("--max-width", type=_positive_int, default=DEFAULT_MAX_WIDTH, help="ring width cap")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(func=cmd_keystream)
+    if p := command("evolve", help="render a space-time diagram"):
+        _add_rule_flags(p)
+        p.add_argument("--width", type=int, help="ring width")
+        p.add_argument("--steps", type=int, required=True, help="number of time steps")
+        p.add_argument("--init", required=True, help="single | zero | random | literal bits")
+        p.add_argument("--seed", type=_seed, help="seed for --init random")
+        p.add_argument("--format", choices=("text", "pbm"), default="text")
+        p.add_argument("--max-width", type=_positive_int, default=DEFAULT_MAX_WIDTH, help="ring width cap")
+        p.add_argument("--out", help="output path (default stdout)")
+        p.set_defaults(func=cmd_evolve)
+
+    if p := command("keystream", help="emit the tap-cell sequence of a keyed ring"):
+        _add_rule_flags(p)
+        p.add_argument("--width", type=int, help="ring width")
+        p.add_argument("--key", required=True, help="literal bits | random | zero")
+        p.add_argument("--seed", type=_seed, help="seed for --key random")
+        p.add_argument("--cell", type=int, default=0, help="tap cell index")
+        p.add_argument("--length", type=int, required=True, help="number of keystream bits")
+        p.add_argument("--burn-in", type=int, default=0, help="steps discarded before output")
+        p.add_argument("--stream-format", choices=("ascii", "raw"), default="ascii")
+        p.add_argument("--max-width", type=_positive_int, default=DEFAULT_MAX_WIDTH, help="ring width cap")
+        p.add_argument("--out", help="output path (default stdout)")
+        p.set_defaults(func=cmd_keystream)
 
     for mode in ("encrypt", "decrypt"):
-        p = sub.add_parser(mode, help=f"{mode} a bitstream with a keystream file (XOR)")
-        p.add_argument("--in", dest="infile", required=True, help="input bitstream file")
-        p.add_argument("--key", required=True, help="keystream file")
+        if p := command(mode, help=f"{mode} a bitstream with a keystream file (XOR)"):
+            p.add_argument("--in", dest="infile", required=True, help="input bitstream file")
+            p.add_argument("--key", required=True, help="keystream file")
+            p.add_argument("--out", help="output path (default stdout)")
+            p.add_argument("--stream-format", choices=("ascii", "raw"), default="ascii")
+            p.add_argument("--bits", type=int, help="bit count of the input (raw format)")
+            p.add_argument("--key-bits", type=int, help="bit count of the key file (raw format)")
+            p.add_argument(
+                "--allow-key-reuse",
+                action="store_true",
+                help="cycle or truncate key material instead of requiring an exact-length keystream",
+            )
+            p.set_defaults(func=_cmd_xor, mode=mode)
+
+    if p := command("spectrum", help="Walsh spectrum of an iterated rule"):
+        p.add_argument("--rule", type=int, required=True)
+        p.add_argument("--radius", type=int, default=1, choices=(1, 2))
+        p.add_argument("--order", type=int, default=1, help="iteration count")
         p.add_argument("--out", help="output path (default stdout)")
+        p.set_defaults(func=cmd_spectrum)
+
+    if p := command("scan", help="scan all 256 rules: scores and equivalences (CSV)"):
+        p.add_argument("--orders", default="1..5", help="iteration orders, e.g. 1..5 or 1,3")
+        p.add_argument("--only", help="comma-separated rule numbers to report")
+        p.add_argument("--out", help="output path (default stdout)")
+        p.set_defaults(func=cmd_scan)
+
+    if p := command("classify", help="equivalence class, affinity, and immunity of a rule"):
+        p.add_argument("--rule", type=int, required=True)
+        p.add_argument("--out", help="output path (default stdout)")
+        p.set_defaults(func=cmd_classify)
+
+    if p := command("attack", help="recover a key from an observed tap sequence"):
+        p.add_argument("--rule", type=int, default=30)
+        p.add_argument("--width", type=int, help="ring width (defaults to the sequence length)")
+        p.add_argument("--sequence", required=True, help="observed tap-cell bits, oldest first")
+        p.add_argument("--max-trials", type=int, help="trial budget (default 64 * 2^(N-1))")
+        p.add_argument("--seed", type=_seed, default=0, help="guess-stream seed")
+        p.add_argument("--transcript", help="write per-trial audit lines to this path")
+        p.add_argument("--out", help="output path (default stdout)")
+        p.set_defaults(func=cmd_attack)
+
+    if p := command("fips", help="run the statistical battery on a bitstream file"):
+        p.add_argument("--in", dest="infile", required=True, help="input bitstream file")
         p.add_argument("--stream-format", choices=("ascii", "raw"), default="ascii")
         p.add_argument("--bits", type=int, help="bit count of the input (raw format)")
-        p.add_argument("--key-bits", type=int, help="bit count of the key file (raw format)")
-        p.add_argument(
-            "--allow-key-reuse",
-            action="store_true",
-            help="cycle or truncate key material instead of requiring an exact-length keystream",
-        )
-        p.set_defaults(func=_cmd_xor, mode=mode)
-
-    p = sub.add_parser("spectrum", help="Walsh spectrum of an iterated rule")
-    p.add_argument("--rule", type=int, required=True)
-    p.add_argument("--radius", type=int, default=1, choices=(1, 2))
-    p.add_argument("--order", type=int, default=1, help="iteration count")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("scan", help="scan all 256 rules: scores and equivalences (CSV)")
-    p.add_argument("--orders", default="1..5", help="iteration orders, e.g. 1..5 or 1,3")
-    p.add_argument("--only", help="comma-separated rule numbers to report")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("classify", help="equivalence class, affinity, and immunity of a rule")
-    p.add_argument("--rule", type=int, required=True)
-    p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("attack", help="recover a key from an observed tap sequence")
-    p.add_argument("--rule", type=int, default=30)
-    p.add_argument("--width", type=int, help="ring width (defaults to the sequence length)")
-    p.add_argument("--sequence", required=True, help="observed tap-cell bits, oldest first")
-    p.add_argument("--max-trials", type=int, help="trial budget (default 64 * 2^(N-1))")
-    p.add_argument("--seed", type=_seed, default=0, help="guess-stream seed")
-    p.add_argument("--transcript", help="write per-trial audit lines to this path")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(func=cmd_attack)
-
-    p = sub.add_parser("fips", help="run the statistical battery on a bitstream file")
-    p.add_argument("--in", dest="infile", required=True, help="input bitstream file")
-    p.add_argument("--stream-format", choices=("ascii", "raw"), default="ascii")
-    p.add_argument("--bits", type=int, help="bit count of the input (raw format)")
-    p.add_argument("--thresholds", help="threshold config file (default: packaged values)")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(func=cmd_fips)
+        p.add_argument("--thresholds", help="threshold config file (default: packaged values)")
+        p.add_argument("--out", help="output path (default stdout)")
+        p.set_defaults(func=cmd_fips)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -22,19 +22,22 @@ each byte of the packed table; numpy is imported only where that array is
 made or read.  ``MAX_TRANSFORM_VARIABLES`` caps it at 2^24 entries (64 MB);
 the largest function ``iterate_rule`` reaches has 23 variables (rule 30 at
 order 11), where the CLI ``spectrum`` command peaks at 92 MB of RSS.
+
+``scan_rules`` does each piece of work once.  A rule is balanced when four
+of the eight bits of its number are set.  Conjugation keeps affinity and
+every |W(2^k)| of every iterate, and reflection keeps affinity and reverses
+the variables, so each equivalence class is examined once, through its
+smallest member, and a balanced one is iterated once.  One iteration to the
+top order serves every lower order: the center cell after o of T steps is
+the order-o function of the middle window cells, so its single-variable
+popcounts are the order-o ones times a power of two.
 """
 from __future__ import annotations
 
 from functools import cache
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .algebra import (
-    affine_decomposition,
-    conjugate,
-    conjugate_reflect,
-    equivalence_class,
-    reflect,
-)
+from .algebra import _conjugate, _reflect, affine_decomposition
 from .engine import Rule, _kernel, _pack, _Record, _set, _unpack, _window
 
 if TYPE_CHECKING:
@@ -140,6 +143,14 @@ def iterate_rule(rule: Rule, order: int) -> BooleanFunction:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
+    for state in _levels(rule, order):  # the last segment is the center cell alone
+        pass
+    return BooleanFunction._packed(state[0], 2 * rule.radius * order + 1)
+
+
+def _levels(rule: Rule, order: int) -> Iterator[list[int]]:
+    """The segment after each of ``order`` open-boundary steps from the window, as truth tables:
+    after step o it holds ``2*radius*(order - o) + 1`` cells."""
     width = 2 * rule.radius * order + 1
     if width > MAX_TRANSFORM_VARIABLES:
         raise ValueError(f"iterated function would need {width} variables (max {MAX_TRANSFORM_VARIABLES})")
@@ -147,7 +158,7 @@ def iterate_rule(rule: Rule, order: int) -> BooleanFunction:
     kernel, mask, span = _kernel(rule.truth_table), (1 << (1 << width)) - 1, rule.neighborhood_size
     for _ in range(order):
         state = [kernel(*state[i : i + span], mask) for i in range(len(state) - span + 1)]
-    return BooleanFunction._packed(state[0], width)
+        yield state
 
 
 def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
@@ -234,10 +245,13 @@ def minmax_score(rule: Rule, order: int) -> tuple[int, int]:
     """
     if not 1 <= order <= MAX_ITERATION_ORDER:
         raise ValueError(f"order must lie in [1, {MAX_ITERATION_ORDER}]")
-    f = iterate_rule(rule, order)
+    return _score(_magnitudes(rule, (order,))[order])
+
+
+def _score(magnitudes: Sequence[int]) -> tuple[int, int]:
+    """``(2^k, magnitude k)`` at the largest magnitude, the highest k among ties; ``(0, 0)`` if all are 0."""
     cfg, val = 0, 0
-    for k in range(f.n):
-        magnitude = abs(_walsh_value(f, 1 << k))
+    for k, magnitude in enumerate(magnitudes):
         if magnitude >= val and magnitude > 0:
             cfg, val = 1 << k, magnitude
     return cfg, val
@@ -286,7 +300,7 @@ class ScanReport(_Record):
 
 
 def scan_rules(orders: Iterable[int]) -> ScanReport:
-    """Evaluate balancedness, affinity, equivalences, and scores for all 256 rules."""
+    """Evaluate balancedness, affinity, equivalences, and scores for all 256 rules, once per class."""
     order_list = tuple(orders)
     if not order_list:
         raise ValueError("at least one order is required")
@@ -294,24 +308,55 @@ def scan_rules(orders: Iterable[int]) -> ScanReport:
         raise ValueError(f"orders must lie in [1, {MAX_ITERATION_ORDER}]")
     if len(set(order_list)) != len(order_list):
         raise ValueError(f"orders must not repeat, got {','.join(map(str, order_list))}")
+    classes: dict[int, tuple[bool, dict[int, tuple[int, int]]]] = {}  # member -> (affine, scores)
     rows = []
     for number in range(256):
-        rule = Rule.from_number(number)
-        balanced = is_balanced(iterate_rule(rule, 1))
-        scores = {o: minmax_score(rule, o) for o in order_list} if balanced else {}
+        conj, refl = _conjugate(number), _reflect(number)
+        cr = _conjugate(refl)
+        balanced = number.bit_count() == 4  # four of the eight neighborhoods map to 1
+        if number not in classes:  # the smallest member of its class
+            rule = Rule.from_number(number)
+            affine = affine_decomposition(rule).is_affine
+            magnitudes = _magnitudes(rule, order_list) if balanced else {}
+            # conjugation keeps every |W(2^k)|; reflection reverses the variables
+            for member, mirrored in ((number, False), (conj, False), (refl, True), (cr, True)):
+                classes[member] = affine, {o: _score(m[::-1] if mirrored else m) for o, m in magnitudes.items()}
+        affine, scores = classes[number]
         rows.append(
             RuleScan(
                 rule=number,
                 balanced=balanced,
-                affine=affine_decomposition(rule).is_affine,
-                members=equivalence_class(rule),
-                conjugate=conjugate(rule).number,
-                reflected=reflect(rule).number,
-                conjugate_reflected=conjugate_reflect(rule).number,
+                affine=affine,
+                members=frozenset((number, conj, refl, cr)),
+                conjugate=conj,
+                reflected=refl,
+                conjugate_reflected=cr,
                 scores=scores,
             )
         )
     return ScanReport(orders=order_list, rows=tuple(rows))
+
+
+def _magnitudes(rule: Rule, orders: tuple[int, ...]) -> dict[int, list[int]]:
+    """Per order, |W(2^k)| for each variable k of the rule iterated that many times, from two
+    popcounts each, all from one iteration to the top order T over W window cells.
+
+    After step o the center cell reads none of the ``d = radius*(T - o)`` cells on either side:
+    the leftmost d are its top variables, so the low 2^(W - d) bits of its table hold it whole,
+    and the rightmost d each double its popcounts.
+    """
+    top = max(orders)
+    width, magnitudes = 2 * rule.radius * top + 1, {}
+    for o, state in enumerate(_levels(rule, top), 1):
+        if o in orders:
+            d = rule.radius * (top - o)
+            low = width - d  # the variables left once the leftmost d cells are dropped
+            table = state[d] & ((1 << (1 << low)) - 1)
+            ones = table.bit_count()
+            # the window's cells leftmost first, so variable k is the k-th cell from the right
+            cells = reversed(_window(low)[: low - d])
+            magnitudes[o] = [abs(ones - 2 * (table & cell).bit_count()) >> d for cell in cells]
+    return {o: magnitudes[o] for o in orders}
 
 
 def _selected_rules(only: Iterable[int] | None) -> list[int]:

@@ -1,4 +1,5 @@
 """Command-line surface: flags, file formats, exit codes, determinism."""
+import argparse
 import hashlib
 import os
 import random
@@ -14,6 +15,7 @@ from castream.cli import (
     EXIT_OK,
     EXIT_TEST_FAILED,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 
@@ -506,6 +508,37 @@ def test_cli_output_is_pinned(capsysbinary, tmp_path):
         assert data.hexdigest() == digest, commands[0]
 
 
+# --help, a command's --help, an unknown command and a missing required flag: exit code and
+# sha256 of stdout then stderr, recorded when every command's subparser was built in full
+# (Python 3.11 argparse at 80 columns).
+PINNED_USAGE = [
+    (["--help"], EXIT_OK, "c5d8990a964b5210400ca712ef1caf57d5787cba68f563fec62e2d4311fc3639"),
+    (["scan", "--help"], EXIT_OK, "89284174412b79e8916177f23c3044ce329b54ef53e5c0a0d46d09404b062e16"),
+    (["frobnicate"], EXIT_USAGE, "d7976bf69600849fc08e7ba5928ab85b33e8f0726c6780c6116f24af21c81408"),
+    (["evolve", "--rule", "30", "--width", "8"], EXIT_USAGE,
+     "e15563b3e7bbf6b8452c5bdca4440347b7ee8f62fd48313c6da953fd79b31ac2"),
+]
+
+
+def test_help_and_usage_errors_are_pinned(capsysbinary, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its text to the terminal's width
+    for argv, code, digest in PINNED_USAGE:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == code, argv
+        captured = capsysbinary.readouterr()
+        assert hashlib.sha256(captured.out + captured.err).hexdigest() == digest, argv
+
+
+def test_only_the_command_named_gets_its_arguments():
+    parser = build_parser(["--", "scan", "--orders", "1..3"])
+    (commands,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    arguments = {name: [action.dest for action in p._actions] for name, p in commands.choices.items()}
+    assert len(arguments) == 9
+    assert arguments.pop("scan") == ["help", "orders", "only", "out"]
+    assert set(map(tuple, arguments.values())) == {("help",)}
+
+
 # Commands that never run a Walsh transform, then the two that do.
 _NUMPY_FREE_COMMANDS = [
     ["keystream", "--rule", "30", *_KEY[:-1], "20000", "--out", "ks.txt"],
@@ -572,6 +605,7 @@ _OPTIONAL_LAYERS = {"castream.attack", "castream.spectrum", "castream.algebra", 
         ([["--help"], *(_NUMPY_FREE_COMMANDS[i] for i in (0, 1, 4))], set()),
         ([_NUMPY_FREE_COMMANDS[6]], {"castream.attack"}),  # attack
         ([_NUMPY_FREE_COMMANDS[0], _NUMPY_FREE_COMMANDS[3]], {"castream.fips"}),  # keystream, then fips
+        ([_NUMPY_FREE_COMMANDS[5]], {"castream.spectrum", "castream.algebra"}),  # scan
     ],
 )
 def test_each_command_loads_only_the_layers_it_runs(tmp_path, commands, allowed):

@@ -1,5 +1,6 @@
 """Spectral machinery against the defining double sum and direct simulation."""
 import random
+from functools import cache
 from fractions import Fraction
 
 import numpy as np
@@ -332,6 +333,39 @@ def test_minmax_score_matches_transform_reference_on_balanced_rules():
         rule = rule_from_number(number)
         for order in range(1, 6):
             assert minmax_score(rule, order) == reference_score(rule, order)
+
+
+@cache
+def full_scan():
+    return scan_rules(range(1, 9))
+
+
+def test_scan_scores_match_minmax_and_transform_reference_to_order_8():
+    report = full_scan()
+    assert len(report.balanced_rules()) == 70
+    for number in report.balanced_rules():
+        rule = rule_from_number(number)
+        for order in range(1, 9):
+            expected = minmax_score(rule, order)
+            assert report.row(number).scores[order] == expected == reference_score(rule, order), (number, order)
+
+
+@given(orders=st.lists(st.integers(1, 8), min_size=1, max_size=8, unique=True))
+@settings(max_examples=25, deadline=None)
+def test_any_subset_of_orders_scores_as_the_full_scan(orders):
+    report, full = scan_rules(orders), full_scan()
+    assert report.orders == tuple(orders)
+    assert [row.scores for row in report.rows] == [{o: row.scores[o] for o in orders} if row.balanced else {}
+                                                   for row in full.rows]
+
+
+def test_scan_compiles_one_kernel_per_balanced_class():
+    from castream.engine import _kernel
+
+    _kernel.cache_clear()
+    report = scan_rules(range(1, 9))
+    assert len({min(row.members) for row in report.rows if row.balanced}) == 29
+    assert _kernel.cache_info().misses <= 29
 
 
 @given(
