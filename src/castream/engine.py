@@ -84,6 +84,13 @@ class _Record:
     def __post_init__(self) -> None:
         pass
 
+    @classmethod
+    def _packed(cls, *values: object) -> "_Record":
+        """A record of its field values, in order, that the caller knows to be valid: unchecked."""
+        record = object.__new__(cls)
+        record.__dict__.update(zip(cls._fields, values))
+        return record
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -115,27 +122,16 @@ class Rule(_Record):
     radius: int
     truth_table: tuple[int, ...]
 
-    def __init__(self, radius: int, truth_table: Sequence[int]) -> None:  # scans build thousands
-        if radius not in SUPPORTED_RADII:
-            raise ValueError(f"unsupported radius {radius}; must be one of {SUPPORTED_RADII}")
-        expected = 1 << (2 * radius + 1)
-        if len(truth_table) != expected:
-            raise ValueError(f"truth table must have {expected} entries for radius {radius}, "
-                             f"got {len(truth_table)}")
-        _pack(truth_table, "truth table entries")  # raises unless each entry is 0 or 1
-        if type(truth_table) is not tuple:  # a list or an array is unhashable, and rules are cache keys
-            truth_table = tuple(map(int, truth_table))
-        _set(self, "radius", radius)
-        _set(self, "truth_table", truth_table)
-
-    # rules are cache keys: these two are written out, as the generic ones take about half as long again
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.radius == other.radius and self.truth_table == other.truth_table
-
-    def __hash__(self) -> int:
-        return hash((self.radius, self.truth_table))
+    def __post_init__(self) -> None:
+        if self.radius not in SUPPORTED_RADII:
+            raise ValueError(f"unsupported radius {self.radius}; must be one of {SUPPORTED_RADII}")
+        expected = 1 << (2 * self.radius + 1)
+        if len(self.truth_table) != expected:
+            raise ValueError(f"truth table must have {expected} entries for radius {self.radius}, "
+                             f"got {len(self.truth_table)}")
+        _pack(self.truth_table, "truth table entries")  # raises unless each entry is 0 or 1
+        if type(self.truth_table) is not tuple:  # a list or an array is unhashable, and rules are cache keys
+            _set(self, "truth_table", tuple(map(int, self.truth_table)))
 
     @property
     def number(self) -> int:
@@ -153,7 +149,7 @@ class Rule(_Record):
         table_size = 1 << (2 * radius + 1)
         if not 0 <= number < (1 << table_size):
             raise ValueError(f"rule number {number} out of range for radius {radius}")
-        return cls(radius, _unpack(number, table_size))
+        return cls._packed(radius, _unpack(number, table_size))
 
     def apply(self, neighborhood: Sequence[int]) -> int:
         """Output bit for one neighborhood, leftmost cell most significant."""
@@ -212,14 +208,6 @@ class Configuration(_Record):
         width = _checked_width(len(cells))
         _set(self, "_state", _pack(cells, "cells"))
         _set(self, "width", width)
-
-    @classmethod
-    def _packed(cls, state: int, width: int) -> "Configuration":
-        """A ring from a packed state the caller knows to fit ``width``; not validated."""
-        config = object.__new__(cls)
-        _set(config, "_state", state)
-        _set(config, "width", width)
-        return config
 
     @property
     def cells(self) -> tuple[int, ...]:

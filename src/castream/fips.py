@@ -3,12 +3,16 @@
 Four tests run on a fixed-size sample: monobit (ones count), poker
 (chi-square-like statistic over 4-bit nibbles), runs (counts of maximal
 runs by length, both bit values), and long run (no run of 26 or more).
-The battery needs no numpy: it checks a sample with ``engine._pack``, writes
-it once as ASCII ``0``/``1`` bytes, and counts their ones, their hex digits
-(nibbles) and, once for runs and long run, their maximal runs.  Thresholds
-are configuration data loaded from a ``test.parameter = value`` file, not
-constants baked into the test logic; the defaults come from the standard
-(see ``fips_thresholds.conf``).
+The battery is one pass and needs no numpy: ``fips_battery`` checks a sample
+with ``engine._pack``, writes it once as ASCII ``0``/``1`` bytes, and counts
+their ones, their hex digits (nibbles) and, once for runs and long run, their
+maximal runs.  ``monobit``, ``poker``, ``runs`` and ``long_run`` return its
+entries.  Thresholds are configuration data loaded from a
+``test.parameter = value`` file, not constants baked into the test logic; the
+defaults come from the standard (see ``fips_thresholds.conf``).  A file must
+give each required key once, as a number: an unknown or repeated key, NaN or
+a value that is no number is an error that names the line, and +-inf switches
+a bound off.
 """
 from __future__ import annotations
 
@@ -65,8 +69,18 @@ class Thresholds(_Record):
                 continue
             if "=" not in line:
                 raise ValueError(f"line {lineno}: expected 'test.parameter = value', got {raw!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = float(value.strip())
+            key, _, given = (part.strip() for part in line.partition("="))
+            if key not in cls.REQUIRED:
+                raise ValueError(f"line {lineno}: unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"line {lineno}: {key} is given twice")
+            try:
+                value = float(given)
+            except ValueError:
+                value = float("nan")
+            if value != value:  # NaN, which no bound compares with
+                raise ValueError(f"line {lineno}: {key} must be a number or +-inf, got {given!r}")
+            values[key] = value
         return cls(values)
 
     @classmethod
@@ -113,15 +127,6 @@ def _as_sample(stream: Sequence[int]) -> bytes:
     return format(_pack(stream, "stream entries"), f"0{SAMPLE_BITS}b")[::-1].encode()
 
 
-def _run_counts(sample: bytes) -> tuple[Counter[int], ...]:
-    """Maximal runs of zeros, then of ones: length -> count (length 0 tallies empty split pieces)."""
-    return tuple(Counter(map(len, sample.split(other))) for other in (b"1", b"0"))
-
-
-def _pick(thresholds: Thresholds | None) -> Thresholds:
-    return thresholds if thresholds is not None else Thresholds.default()
-
-
 def _strictly_inside(name: str, statistic: str, value: float, t: Thresholds) -> TestResult:
     low, high = t[f"{name}.min"], t[f"{name}.max"]
     return TestResult(name, low < value < high, {statistic: value}, {f"{name}.min": low, f"{name}.max": high})
@@ -129,61 +134,47 @@ def _strictly_inside(name: str, statistic: str, value: float, t: Thresholds) -> 
 
 def monobit(stream: Sequence[int], thresholds: Thresholds | None = None) -> TestResult:
     """Ones count, strictly inside the configured interval."""
-    return _monobit(_as_sample(stream), _pick(thresholds))
-
-
-def _monobit(sample: bytes, t: Thresholds) -> TestResult:
-    return _strictly_inside("monobit", "ones", sample.count(b"1"), t)
+    return fips_battery(stream, thresholds).results[0]
 
 
 def poker(stream: Sequence[int], thresholds: Thresholds | None = None) -> TestResult:
     """Nibble-frequency statistic X = (16/5000) * sum(f_i^2) - 5000, strict bounds."""
-    return _poker(_as_sample(stream), _pick(thresholds))
-
-
-def _poker(sample: bytes, t: Thresholds) -> TestResult:
-    nibbles = format(int(sample, 2), f"0{SAMPLE_BITS // 4}x")  # one hex digit a nibble, first bit high
-    square_sum = sum(nibbles.count(digit) ** 2 for digit in "0123456789abcdef")
-    statistic = 16.0 * square_sum / (SAMPLE_BITS // 4) - (SAMPLE_BITS // 4)
-    return _strictly_inside("poker", "statistic", statistic, t)
+    return fips_battery(stream, thresholds).results[1]
 
 
 def runs(stream: Sequence[int], thresholds: Thresholds | None = None) -> TestResult:
     """Counts of maximal runs per length (1..5, 6+) and bit value, closed intervals."""
-    return _runs(_run_counts(_as_sample(stream)), _pick(thresholds))
-
-
-def _runs(run_counts: tuple[Counter[int], ...], t: Thresholds) -> TestResult:
-    statistics: dict[str, float] = {}
-    passed = True
-    for bit, counts in enumerate(run_counts):
-        for length in RUN_LENGTHS:
-            count = sum(n for run, n in counts.items() if min(run, RUN_LENGTHS[-1]) == length)
-            statistics[f"bit{bit}.length{length}"] = count
-            if not t[f"runs.length{length}.min"] <= count <= t[f"runs.length{length}.max"]:
-                passed = False
-    bounds = {
-        f"runs.length{i}.{side}": t[f"runs.length{i}.{side}"]
-        for i in RUN_LENGTHS
-        for side in ("min", "max")
-    }
-    return TestResult("runs", passed, statistics, bounds)
+    return fips_battery(stream, thresholds).results[2]
 
 
 def long_run(stream: Sequence[int], thresholds: Thresholds | None = None) -> TestResult:
     """Fails as soon as any run of either bit value reaches the configured limit."""
-    return _long_run(_run_counts(_as_sample(stream)), _pick(thresholds))
-
-
-def _long_run(run_counts: tuple[Counter[int], ...], t: Thresholds) -> TestResult:
-    longest = max(max(counts) for counts in run_counts)
-    passed = longest < t["long_run.limit"]
-    return TestResult("long_run", passed, {"longest": longest}, {"long_run.limit": t["long_run.limit"]})
+    return fips_battery(stream, thresholds).results[3]
 
 
 def fips_battery(stream: Sequence[int], thresholds: Thresholds | None = None) -> TestReport:
     """All four tests on one conversion of the stream; passes only if every test passes."""
-    t = _pick(thresholds)
+    t = thresholds if thresholds is not None else Thresholds.default()
     sample = _as_sample(stream)
-    run_counts = _run_counts(sample)
-    return TestReport((_monobit(sample, t), _poker(sample, t), _runs(run_counts, t), _long_run(run_counts, t)))
+    nibbles = format(int(sample, 2), f"0{SAMPLE_BITS // 4}x")  # one hex digit a nibble, first bit high
+    square_sum = sum(nibbles.count(digit) ** 2 for digit in "0123456789abcdef")
+    poker_statistic = 16.0 * square_sum / (SAMPLE_BITS // 4) - (SAMPLE_BITS // 4)
+    # maximal runs of zeros, then of ones: length -> count (length 0 tallies empty split pieces)
+    run_counts = [Counter(map(len, sample.split(other))) for other in (b"1", b"0")]
+    run_statistics: dict[str, float] = {}
+    run_bounds = {f"runs.length{i}.{side}": t[f"runs.length{i}.{side}"]
+                  for i in RUN_LENGTHS for side in ("min", "max")}
+    runs_passed = True
+    for bit, counts in enumerate(run_counts):
+        for length in RUN_LENGTHS:
+            count = sum(n for run, n in counts.items() if min(run, RUN_LENGTHS[-1]) == length)
+            run_statistics[f"bit{bit}.length{length}"] = count
+            if not run_bounds[f"runs.length{length}.min"] <= count <= run_bounds[f"runs.length{length}.max"]:
+                runs_passed = False
+    longest, limit = max(max(counts) for counts in run_counts), t["long_run.limit"]
+    return TestReport((
+        _strictly_inside("monobit", "ones", sample.count(b"1"), t),
+        _strictly_inside("poker", "statistic", poker_statistic, t),
+        TestResult("runs", runs_passed, run_statistics, run_bounds),
+        TestResult("long_run", longest < limit, {"longest": longest}, {"long_run.limit": limit}),
+    ))

@@ -81,14 +81,6 @@ class BooleanFunction(_Record):
         _set(self, "_table", _pack(truth_table, "truth table entries"))
         _set(self, "n", size.bit_length() - 1)
 
-    @classmethod
-    def _packed(cls, table: int, n: int) -> "BooleanFunction":
-        """A function from a packed table the caller knows to fit 2^n bits; not validated."""
-        f = object.__new__(cls)
-        _set(f, "_table", table)
-        _set(f, "n", n)
-        return f
-
     @property
     def truth_table(self) -> tuple[int, ...]:
         return _unpack(self._table, 1 << self.n)

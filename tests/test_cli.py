@@ -5,9 +5,12 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import castream
 from castream.cli import (
@@ -194,6 +197,50 @@ def test_encrypt_length_mismatch_needs_override(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert out == "111000\n"
+
+
+def stream_bytes(bits, fmt):
+    """A stream file's bytes, written independently of castream.bitio: ASCII digits and a newline, or
+    raw bytes, first bit most significant, the last byte padded with zeros."""
+    if fmt == "ascii":
+        return "".join(map(str, bits)).encode() + b"\n"
+    padding = -len(bits) % 8
+    return int("".join(map(str, bits)) + "0" * padding or "0", 2).to_bytes((len(bits) + padding) // 8, "big")
+
+
+@given(message=st.lists(st.integers(0, 1), max_size=200), key=st.lists(st.integers(0, 1), max_size=200),
+       fmt=st.sampled_from(["ascii", "raw"]))
+@settings(max_examples=150, deadline=None)
+@example(message=[1, 0, 1] * 5, key=[1, 1, 0, 1], fmt="raw")  # 15 bits, a key cycled past a byte boundary
+@example(message=[1, 0] * 10, key=[0, 1] * 12, fmt="raw")  # a key cut to the message
+@example(message=[], key=[1], fmt="ascii")
+@example(message=[1], key=[], fmt="raw")
+def test_encrypt_and_decrypt_xor_with_the_key_cycled_or_cut_only_when_allowed(message, key, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {name: Path(tmp, name) for name in ("message", "key", "cipher", "again", "round")}
+        files["message"].write_bytes(stream_bytes(message, fmt))
+        files["key"].write_bytes(stream_bytes(key, fmt))
+        raw = ["--stream-format", "raw", "--bits", str(len(message)), "--key-bits", str(len(key))] * (fmt == "raw")
+
+        def xor(mode, source, out, *flags):
+            return main([mode, "--in", str(files[source]), "--key", str(files["key"]), *raw,
+                         "--out", str(files[out]), *flags])
+
+        reuse = []
+        if len(key) != len(message):
+            assert xor("encrypt", "message", "cipher") == EXIT_USAGE
+            assert not files["cipher"].exists()
+            reuse = ["--allow-key-reuse"]
+            if message and not key:
+                assert xor("encrypt", "message", "cipher", *reuse) == EXIT_USAGE
+                return
+        used = (key * len(message))[: len(message)]  # the key cycled or cut to the message length
+        assert xor("encrypt", "message", "cipher", *reuse) == EXIT_OK
+        assert files["cipher"].read_bytes() == stream_bytes([m ^ k for m, k in zip(message, used)], fmt)
+        assert xor("encrypt", "message", "again", *reuse) == EXIT_OK
+        assert files["again"].read_bytes() == files["cipher"].read_bytes()
+        assert xor("decrypt", "cipher", "round", *reuse) == EXIT_OK
+        assert files["round"].read_bytes() == files["message"].read_bytes()
 
 
 def test_missing_input_file_is_io_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Statistical battery: degenerate streams, closed-form cases, threshold plumbing."""
 import random
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from castream.cipher import KeystreamSpec, keystream
+from castream.cli import EXIT_USAGE, main
 from castream.engine import Configuration, rule_from_number
 from castream.fips import (
     RUN_LENGTHS,
@@ -163,6 +165,53 @@ def test_custom_thresholds_are_used_and_reported():
     result = monobit(ZEROS, custom)
     assert result.passed
     assert result.thresholds["monobit.min"] == -1.0
+
+
+DEFAULT_CONF = resources.files("castream").joinpath("fips_thresholds.conf").read_text("utf-8")
+MONOBIT_MIN_LINE = DEFAULT_CONF.splitlines().index("monobit.min = 9725") + 1
+
+
+def test_the_packaged_thresholds_parse_to_the_standard_values():
+    assert Thresholds.default().values == {
+        "monobit.min": 9725, "monobit.max": 10275, "poker.min": 2.16, "poker.max": 46.17,
+        "runs.length1.min": 2315, "runs.length1.max": 2685, "runs.length2.min": 1114, "runs.length2.max": 1386,
+        "runs.length3.min": 527, "runs.length3.max": 723, "runs.length4.min": 240, "runs.length4.max": 384,
+        "runs.length5.min": 103, "runs.length5.max": 209, "runs.length6.min": 103, "runs.length6.max": 209,
+        "long_run.limit": 26,
+    }
+
+
+# (the packaged file with one change, the error it must raise, naming the line)
+BAD_THRESHOLDS = {
+    "repeated key": (DEFAULT_CONF + "poker.max = 3\n",
+                     f"line {len(DEFAULT_CONF.splitlines()) + 1}: poker.max is given twice"),
+    "unknown key": (DEFAULT_CONF + "poker.maxx = 3\n",
+                    f"line {len(DEFAULT_CONF.splitlines()) + 1}: unknown key 'poker.maxx'"),
+    "nan": (DEFAULT_CONF.replace("monobit.min = 9725", "monobit.min = nan"),
+            f"line {MONOBIT_MIN_LINE}: monobit.min must be a number or +-inf, got 'nan'"),
+    "not a number": (DEFAULT_CONF.replace("monobit.min = 9725", "monobit.min = abc"),
+                     f"line {MONOBIT_MIN_LINE}: monobit.min must be a number or +-inf, got 'abc'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_THRESHOLDS))
+def test_a_bad_threshold_file_is_an_error_that_names_the_line(tmp_path, capsys, case):
+    text, message = BAD_THRESHOLDS[case]
+    with pytest.raises(ValueError) as caught:
+        Thresholds.parse(text)
+    assert str(caught.value) == message
+    stream, conf = tmp_path / "random.bits", tmp_path / "bad.conf"
+    stream.write_text(format(random.Random(7).getrandbits(SAMPLE_BITS), f"0{SAMPLE_BITS}b") + "\n")
+    conf.write_text(text)
+    assert main(["fips", "--in", str(stream), "--thresholds", str(conf)]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_infinite_thresholds_switch_a_bound_off():
+    t = Thresholds.parse(DEFAULT_CONF.replace("monobit.min = 9725", "monobit.min = -inf")
+                         .replace("monobit.max = 10275", "monobit.max = +inf"))
+    assert (t["monobit.min"], t["monobit.max"]) == (float("-inf"), float("inf"))
+    assert monobit(ZEROS, t).passed and monobit((1,) * SAMPLE_BITS, t).passed
 
 
 # The numpy battery the package ran before its numpy-free one: an independent oracle.

@@ -1,5 +1,6 @@
 """Value semantics of the package's record classes: construction, equality, hashing, printing, immutability."""
 import dataclasses
+import random
 
 import pytest
 
@@ -157,3 +158,39 @@ def test_partial_diagram_stays_mutable():
     assert diagram == PartialDiagram(3, None, (1, 2, 3))
     del diagram.columns
     assert not hasattr(diagram, "columns")
+
+
+# (the value from its validated constructor, the field values that _packed takes, in order)
+PACKED = {
+    "Rule": (R30, (1, RULE_30)),
+    "Configuration": (C011, (0b110, 3)),  # bit i of the state is cell i
+    "BooleanFunction": (BooleanFunction((0, 1, 1, 0)), (0b0110, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PACKED))
+def test_packed_records_equal_hash_and_print_like_the_validated_ones(name):
+    value, fields = PACKED[name]
+    packed = type(value)._packed(*fields)
+    assert type(packed) is type(value)
+    assert packed == value and hash(packed) == hash(value)
+    assert repr(packed) == repr(value) and str(packed) == str(value)
+
+
+@pytest.mark.parametrize("radius, numbers", [
+    (1, range(256)),
+    (2, [0, 1, 30, 0x96696996, (1 << 32) - 1, *random.Random(2).sample(range(1 << 32), 200)]),
+])
+def test_a_rule_from_its_number_is_the_rule_of_its_table(radius, numbers):
+    for number in numbers:
+        table = tuple(number >> x & 1 for x in range(1 << (2 * radius + 1)))
+        rule, validated = Rule.from_number(number, radius), Rule(radius, table)
+        assert rule == validated and hash(rule) == hash(validated)
+        assert (rule.number, rule.radius, type(rule.truth_table)) == (number, radius, tuple)
+
+
+@pytest.mark.parametrize("table", [list(RULE_30), bytearray(RULE_30)])
+def test_a_rule_holds_its_table_as_a_tuple(table):
+    rule = Rule(1, table)
+    assert type(rule.truth_table) is tuple
+    assert rule == R30 and hash(rule) == hash(R30)
