@@ -22,7 +22,7 @@ per row.  The left triangle is held as columns (bit k = time k): a cell of
 column ``-m`` needs only columns ``-(m-1)`` and ``-(m-2)``, never its own
 column, so backward completion is parallel over time, one kernel call per
 column, with a zero left operand for ``g(b, c) = f(0, b, c)``.  A key is
-verified on a lazily stepped ring, up to the first tap bit that differs.
+verified by its N tap bits, made by one call of the ring loop.
 
 Coordinates: ``value(k, j)`` is the cell at time ``k`` and offset ``j``
 relative to the tap cell; the observed sequence is the column at offset 0,
@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .engine import Configuration, Rule, _anf, _kernel, _pack, _Record, _states
+from .engine import Configuration, Rule, _anf, _kernel, _pack, _Record, _taps
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -196,8 +196,7 @@ def _trial(rule: Rule, observed: Bits, seed: int, trial: int) -> tuple[Bits, Con
     """One independent attempt: draw a guess, complete the key, verify it on the ring."""
     guess = _draw_guess(seed, trial, len(observed) - 1)
     key = backward_completion(rule, forward_completion(rule, observed, guess))
-    taps = (state & 1 for state in _states(key, rule, len(observed) - 1))
-    return guess, key, all(tap == bit for tap, bit in zip(taps, observed))
+    return guess, key, b"".join(_taps(key, rule, 0, len(observed))) == bytes(observed)
 
 
 def attack(

@@ -152,7 +152,8 @@ def cmd_keystream(args: argparse.Namespace) -> int:
 def _cmd_xor(args: argparse.Namespace) -> int:
     from . import bitio
     message, _ = _read_stream(args.infile, args.stream_format, args.bits)
-    key, _ = _read_stream(args.key, args.stream_format, args.key_bits or args.bits)
+    key_bits = args.bits if args.key_bits is None else args.key_bits  # --key-bits 0 is no key, not absent
+    key, _ = _read_stream(args.key, args.stream_format, key_bits)
     if len(key) != len(message):
         if not args.allow_key_reuse:
             raise ValueError(

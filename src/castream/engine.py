@@ -8,14 +8,18 @@ a ring of N cells (indices wrap modulo N).  All operations are pure; every
 value is immutable once constructed.
 
 A configuration is held packed: the ring is one int with bit i = cell i,
-and its ``cells`` tuple is derived on demand.  Each generator, a rule or a
-per-cell assignment on one ring width, is compiled once into one loop from
-the rules' algebraic normal form (ANF), which ``algebra`` and ``attack`` also
-read.  A step reads each neighbor from the doubled state ``s | s << width``
-with one shift and masks once; before each step the loop writes a tap cell's
-bit as a 0/1 byte, and tap bits leave in chunks of ``TAP_CHUNK``, so that a
-keystream is written as it is made.  Rows that ``step`` and ``evolve`` make
-are not re-validated: ``_pack`` is the one check that bits are 0 or 1.
+and its ``cells`` tuple is derived on demand.  Each rule's truth table is
+written as the smallest bitwise circuit that ``_circuit`` finds (rule 30 is
+``x0 ^ (s | x2)``), and each generator, a rule or a per-cell assignment on
+one ring width, is compiled once into one loop of those circuits.  The loop
+holds the ring with a halo of up to ``HALO`` cells copied from the far end
+onto each side, so it steps with plain shifts, with no wrap and no mask,
+and it copies the halo again only when the steps have spent it.  Before
+each step it writes ``state >> shift & pick``: a tap cell's bit as a 0/1
+byte, which leave in chunks of ``TAP_CHUNK`` so that a keystream is written
+as it is made, or a whole row, about ``STATE_CHUNK`` cells of rows a call.
+Rows that ``step`` and ``evolve`` make are not re-validated: ``_pack`` is
+the one check that bits are 0 or 1.
 
 Every value class of the package derives from ``_Record``, which gives it
 the construction, comparison, hashing and printing of a frozen dataclass
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterator, MutableSequence, Sequence, Union
 
 if TYPE_CHECKING:
     import random
@@ -45,6 +49,8 @@ __all__ = [
 
 SUPPORTED_RADII = (1, 2)
 TAP_CHUNK = 1 << 16  # tap bits a chunk holds: a multiple of 8, so each chunk packs to whole bytes
+STATE_CHUNK = 1 << 20  # cells of the whole rows that one call of the ring loop makes for _states
+HALO = 64  # cells copied from the far end onto each side of a stepped ring, at most its width
 
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _TO_CELLS = bytes.maketrans(b"01", b"\x00\x01")
@@ -311,48 +317,112 @@ def _anf(truth_table: tuple[int, ...]) -> int:
     return anf
 
 
-def _terms(truth_table: tuple[int, ...], operands: Sequence[str], one: str) -> str:
-    """The ANF as bitwise code: an XOR of ANDs of the operands (leftmost neighbor first) and ``one``."""
-    arity, anf = len(operands), _anf(truth_table)
-    terms = (" & ".join(v for j, v in enumerate(operands) if x >> (arity - 1 - j) & 1) or one
-             for x in range(len(truth_table)) if anf >> x & 1)
-    return " ^ ".join(terms) or "0"
+@functools.lru_cache(maxsize=1024)
+def _circuit(truth_table: tuple[int, ...], operands: tuple[str, ...], one: str) -> str:
+    """The table as bitwise code of the operands, leftmost neighbor first, and ``one``, a mask of
+    ones: the smallest circuit that ``_cheapest`` finds."""
+    return _cheapest(_pack(truth_table), len(operands))[1].format(*operands, m=one)
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _cheapest(table: int, arity: int) -> tuple[int, str]:
+    """The operator count and code of the smallest circuit found for a packed table of ``arity``
+    variables: code is a template with ``{j}`` for variable j, leftmost first, and ``{m}`` for ones.
+
+    A table is ``0``, ``{m}`` or a variable, or it splits on a variable x into its cofactors f0
+    and f1 as ``x & f1`` (f0 = 0), ``x | f0`` (f1 = 1), ``x ^ f0`` (f1 = not f0) or else as
+    ``f0 ^ x & (f0 ^ f1)`` (positive Davio) or, when f1 = 0, ``{m} ^ (x | not f0)``, whichever has
+    the fewest operators.  Every other complement ``{m} ^ g`` of a split costs at least as much as
+    one of these.  The algebraic normal form is Davio on every variable in turn, so the circuit
+    never has more operators than it; and negation is ``{m} ^``, never ``~``, so no operand of the
+    code goes negative.
+    """
+    size = 1 << arity
+    full, window = (1 << size) - 1, _window(arity)
+    if table == 0 or table == full:
+        return 0, "{m}" if table else "0"
+    if table in window:
+        return 0, "{%d}" % window.index(table)
+    forms = []
+    for j, ones in enumerate(window):
+        stride = size >> j + 1
+        f0, f1 = table & ~ones, table & ones
+        f0, f1 = f0 | f0 << stride, f1 | f1 >> stride
+        if f0 == f1:
+            continue
+        if f0 == 0 or f1 == full or f0 ^ f1 == full:
+            op, g = ("&", f1) if f0 == 0 else ("|", f0) if f1 == full else ("^", f0)
+            cost, code = _cheapest(g, arity)
+            forms.append((cost + 1, "{%d} %s %s" % (j, op, _wrapped(code))))
+            continue
+        (cost0, code0), (cost1, code1) = _cheapest(f0, arity), _cheapest(f0 ^ f1, arity)
+        forms.append((cost0 + cost1 + 2, "%s ^ {%d} & %s" % (_wrapped(code0), j, _wrapped(code1))))
+        if f1 == 0:
+            cost, code = _cheapest(full ^ f0, arity)
+            forms.append((cost + 2, "{m} ^ ({%d} | %s)" % (j, _wrapped(code))))
+    return min(forms, key=operator.itemgetter(0))
+
+
+def _wrapped(code: str) -> str:
+    return code if " " not in code else "(" + code + ")"
 
 
 @functools.lru_cache(maxsize=1024)
 def _kernel(truth_table: tuple[int, ...]) -> Callable[..., int]:
     """Compile a truth table into a function of one packed operand per neighbor, leftmost first,
-    and a mask ``m`` of ones, the ANF's constant 1.  Bits outside the mask are undefined: each
+    and a mask ``m`` of ones: the table's ``_circuit``.  Bits outside the mask are undefined: each
     caller masks the result or keeps its operands inside the mask."""
-    params = [f"x{j}" for j in range(len(truth_table).bit_length() - 1)]
-    return eval(f"lambda {', '.join(params)}, m: {_terms(truth_table, params, 'm')}")
+    params = tuple("x%d" % j for j in range(len(truth_table).bit_length() - 1))
+    return eval("lambda %s, m: %s" % (", ".join(params), _circuit(truth_table, params, "m")))
+
+
+_RUN = """\
+def run(s, out, shift, pick, {defaults}):
+    shift += {halo}
+    for start in range(0, len(out), {period}):
+        s = haloed(s)
+        for i in range(start, min(start + {period}, len(out))):
+            out[i] = s >> shift & pick
+{shifts}            s = {step}
+        s = s >> {halo} & full
+    return s
+"""
 
 
 @functools.lru_cache(maxsize=256)
-def _loop(rule: RuleLike, width: int) -> Callable[[int, bytearray, int], int]:
-    """Compile ``run(state, out, cell)`` for a generator on ``width`` cells: it steps the ring
-    ``len(out)`` times, writes the cell's bit before each step into ``out`` and returns the state.
-    Neighbor offset o is ``d >> (o % width)`` of the doubled state ``d = s | s << width``."""
-    needed = 2 * rule.radius + 1
+def _loop(rule: RuleLike, width: int) -> Callable[[int, MutableSequence[int], int, int], int]:
+    """Compile ``run(state, out, shift, pick)`` for a generator on ``width`` cells: it steps the ring
+    ``len(out)`` times, writes ``state >> shift & pick`` into ``out`` before each step (a tap is
+    ``(cell, 1)``, a whole state ``(0, 2^width - 1)``) and returns the state.
+
+    The loop holds the ring with a halo of ``h = min(width, HALO)`` cells copied from the far end
+    on each side, so neighbor offset o is an open shift of it, and nothing is masked: each step
+    spoils ``radius`` more cells at each edge, and after ``h // radius`` steps, with the ring itself
+    still exact, the halo is copied again.  A uniform rule is one ``_circuit``; an assignment ORs
+    each rule's circuit masked to the cells, halo included, where that rule runs."""
+    radius, needed = rule.radius, 2 * rule.radius + 1
     if width < needed:
-        raise ValueError(f"ring width {width} too small for radius {rule.radius} (need >= {needed})")
+        raise ValueError(f"ring width {width} too small for radius {radius} (need >= {needed})")
     tables = [r.truth_table for r in getattr(rule, "rules", (rule,) * width)]
     if len(tables) != width:
         raise ValueError(f"assignment has {len(tables)} rules but configuration has {width} cells")
-    cells = {t: _pack([x == t for x in tables]) for t in dict.fromkeys(tables)}  # where each rule runs
-    shifts = [offset % width for offset in range(-rule.radius, rule.radius + 1)]
-    operands = [f"x{j}" if k else "s" for j, k in enumerate(shifts)]
-    step = " | ".join(f"({_terms(t, operands, f'c{i}')}) & c{i}" for i, t in enumerate(cells))
-    namespace = {f"c{i}": mask for i, mask in enumerate(cells.values())}
-    exec("\n".join((
-        f"def run(s, out, cell, {', '.join(f'{c}={c}' for c in namespace)}):",
-        "    for i in range(len(out)):",
-        "        out[i] = s >> cell & 1",
-        f"        d = s | s << {width}",
-        *(f"        {v} = d >> {k}" for v, k in zip(operands, shifts) if k),
-        f"        s = {step}",
-        "    return s",
-    )), namespace)
+    halo = min(width, HALO)
+    low, full = (1 << halo) - 1, (1 << width) - 1
+
+    def haloed(s: int) -> int:  # cells width - halo .. width - 1, the ring, then cells 0 .. halo - 1
+        return s << halo | s >> width - halo | (s & low) << halo + width
+
+    namespace, circuits = {"haloed": haloed, "full": full}, []
+    operands = tuple("x%d" % j if j != radius else "s" for j in range(needed))
+    for i, t in enumerate(dict.fromkeys(tables)):  # c<i>: the cells, halo included, where rule i runs
+        namespace["c%d" % i] = haloed(_pack([x == t for x in tables]))
+        circuits.append(_circuit(t, operands, "c%d" % i))
+    # a uniform rule's one is the mask of the whole ring, so its circuit needs no mask
+    step = circuits[0] if len(circuits) == 1 else " | ".join("(%s) & c%d" % (e, i) for i, e in enumerate(circuits))
+    shifts = ("            x%d = s %s %d\n" % (j, "<<" if j < radius else ">>", abs(j - radius))
+              for j in range(needed) if j != radius)
+    exec(_RUN.format(defaults=", ".join("%s=%s" % (c, c) for c in namespace), halo=halo, period=halo // radius,
+                     shifts="".join(shifts), step=step), namespace)
     return namespace["run"]
 
 
@@ -376,17 +446,19 @@ def _unpack(state: int, width: int) -> tuple[int, ...]:
 
 
 def _states(config: Configuration, rule: RuleLike, steps: int) -> Iterator[int]:
-    """Packed ring states (bit i = cell i) at times 0 .. steps, one call of the ring loop a step;
-    the arguments are checked on the call."""
+    """Packed ring states (bit i = cell i) at times 0 .. steps, one call of the ring loop per chunk
+    of whole rows, about ``STATE_CHUNK`` cells; the arguments are checked on the call."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    run, out = _loop(rule, config.width), bytearray(1)
+    width = config.width
+    run, full, rows = _loop(rule, width), (1 << width) - 1, max(1, STATE_CHUNK // width)
 
     def states(state: int) -> Iterator[int]:
+        for start in range(0, steps, rows):
+            out = [0] * min(rows, steps - start)
+            state = run(state, out, 0, full)
+            yield from out
         yield state
-        for _ in range(steps):
-            state = run(state, out, 0)
-            yield state
 
     return states(config._state)
 
@@ -402,10 +474,10 @@ def _taps(config: Configuration, rule: RuleLike, cell: int, length: int, burn_in
 
     def chunks(state: int) -> Iterator[bytearray]:
         for start in range(0, burn_in, TAP_CHUNK):  # stepped a chunk at a time, yielding nothing
-            state = run(state, bytearray(min(TAP_CHUNK, burn_in - start)), cell)
+            state = run(state, bytearray(min(TAP_CHUNK, burn_in - start)), cell, 1)
         for start in range(0, length, TAP_CHUNK):
             out = bytearray(min(TAP_CHUNK, length - start))
-            state = run(state, out, cell)
+            state = run(state, out, cell, 1)
             yield out
 
     return chunks(config._state)
@@ -413,7 +485,7 @@ def _taps(config: Configuration, rule: RuleLike, cell: int, length: int, burn_in
 
 def step(config: Configuration, rule: RuleLike) -> Configuration:
     """Advance the ring one time step under a rule or a per-cell assignment."""
-    return Configuration._packed(_loop(rule, config.width)(config._state, bytearray(1), 0), config.width)
+    return Configuration._packed(_loop(rule, config.width)(config._state, bytearray(1), 0, 1), config.width)
 
 
 step_nonuniform = step

@@ -21,6 +21,8 @@ from castream.cli import (
     build_parser,
     main,
 )
+from castream.engine import RuleAssignment, rule_from_number
+from test_engine import reference_step
 
 
 def run(capsys, *argv):
@@ -118,6 +120,31 @@ def test_keystream_is_written_chunk_by_chunk_as_the_library_makes_it(capsysbinar
     bits = keystream(key, KeystreamSpec(rule, width=64, tap=17, burn_in=70001), 65549)
     assert ascii_out == bitio.format_bits(bits).encode()
     assert raw_out == bitio.pack_bits(bits)
+
+
+@given(radius=st.sampled_from((1, 2)), data=st.data(), length=st.integers(1, 300), burn_in=st.integers(0, 200))
+@settings(max_examples=25, deadline=None)
+def test_keystream_decodes_to_the_reference_bits_and_reruns_identically(radius, data, length, burn_in):
+    width = data.draw(st.integers(5, 130))
+    numbers = data.draw(st.lists(st.integers(0, (1 << (1 << 2 * radius + 1)) - 1), min_size=1, max_size=4))
+    key = data.draw(st.lists(st.integers(0, 1), min_size=width, max_size=width))
+    cell = data.draw(st.integers(0, width - 1))
+    rules = [rule_from_number(n, radius) for n in numbers]
+    rule = rules[0] if len(rules) == 1 else RuleAssignment.cycle(rules, width)
+    state, column = tuple(key), []
+    for _ in range(burn_in + length):
+        column.append(state[cell])
+        state = reference_step(state, rule)
+    flags = ["--rule", str(numbers[0])] if len(rules) == 1 else ["--rules", ",".join(map(str, numbers))]
+    argv = ["keystream", *flags, "--radius", str(radius), "--key", "".join(map(str, key)), "--cell", str(cell),
+            "--length", str(length), "--burn-in", str(burn_in)]
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt in ("ascii", "raw"):
+            outputs = [Path(tmp, f"{fmt}-{n}") for n in (1, 2)]
+            for out in outputs:
+                assert main([*argv, "--stream-format", fmt, "--out", str(out)]) == EXIT_OK
+            assert outputs[0].read_bytes() == stream_bytes(column[burn_in:], fmt)
+            assert outputs[1].read_bytes() == outputs[0].read_bytes()
 
 
 def test_keystream_random_key_is_seed_deterministic(capsys):
@@ -241,6 +268,20 @@ def test_encrypt_and_decrypt_xor_with_the_key_cycled_or_cut_only_when_allowed(me
         assert files["again"].read_bytes() == files["cipher"].read_bytes()
         assert xor("decrypt", "cipher", "round", *reuse) == EXIT_OK
         assert files["round"].read_bytes() == files["message"].read_bytes()
+
+
+@pytest.mark.parametrize("key_bytes", [b"", b"\xff"])
+def test_key_bits_0_reads_no_key_bits(tmp_path, capsys, key_bytes):
+    # --key-bits 0 asks for no key bits, so even a non-empty key file gives an empty key
+    message, key = tmp_path / "m.bin", tmp_path / "k.bin"
+    message.write_bytes(b"\xa5")
+    key.write_bytes(key_bytes)
+    raw = ["--stream-format", "raw", "--bits", "8", "--key-bits", "0"]
+    code, out, err = run(capsys, "encrypt", "--in", str(message), "--key", str(key), *raw, "--allow-key-reuse")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "key stream is empty" in err
+    code, _, err = run(capsys, "encrypt", "--in", str(message), "--key", str(key), *raw)
+    assert code == EXIT_USAGE and "key has 0 bits but message has 8" in err
 
 
 def test_missing_input_file_is_io_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Ring evolution against hand-checkable cases and a brute-force reference."""
 import dataclasses
+import dis
 import random
 
 import numpy as np
@@ -14,9 +15,12 @@ from castream.engine import (
     Rule,
     RuleAssignment,
     _anf,
+    _circuit,
     _kernel,
+    _loop,
     _pack,
     _unpack,
+    _window,
     apply_rule,
     evolve,
     rule_from_number,
@@ -123,6 +127,39 @@ def test_kernel_reproduces_the_truth_table_on_every_input():
             assert kernel(*operands, 1) & 1 == bit, (rule, x)
 
 
+def anf_operators(truth_table):
+    """The operators of the algebraic normal form written out: an XOR between terms, an AND within one."""
+    anf = _anf(truth_table)
+    degrees = [bin(x).count("1") for x in range(len(truth_table)) if anf >> x & 1]
+    return max(len(degrees) - 1, 0) + sum(max(degree - 1, 0) for degree in degrees)
+
+
+def test_circuit_has_no_more_operators_than_the_anf_and_no_tilde():
+    # a negative operand would make every later big-int operation slower, so negation is "one ^"
+    for rule in anf_test_rules():
+        code = _circuit(rule.truth_table, tuple(f"x{j}" for j in range(rule.neighborhood_size)), "m")
+        assert "~" not in code, (rule, code)
+        assert sum(map(code.count, "&|^")) <= anf_operators(rule.truth_table), (rule, code)
+    assert _circuit(rule_from_number(30).truth_table, ("a", "b", "c"), "one") == "a ^ (b | c)"
+    assert _circuit(rule_from_number(0).truth_table, ("a", "b", "c"), "one") == "0"
+    assert _circuit(rule_from_number(255).truth_table, ("a", "b", "c"), "one") == "one"
+
+
+def test_kernel_reproduces_the_whole_table_on_the_window_lanes():
+    # the window's variables as tables: one call evaluates every input at once, with all-ones as the constant
+    for rule in anf_test_rules():
+        n = len(rule.truth_table)
+        assert _kernel(rule.truth_table)(*_window(rule.neighborhood_size), (1 << n) - 1) == _pack(rule.truth_table)
+
+
+@pytest.mark.parametrize("number, radius", [(30, 1), (45, 1), (63, 1), (101, 1), (869020563, 2)])
+def test_compiled_kernels_and_ring_loops_never_invert(number, radius):
+    rule = rule_from_number(number, radius)
+    hybrid = RuleAssignment.cycle([rule, rule_from_number(number ^ 1, radius)], 65)
+    for function in (_kernel(rule.truth_table), _loop(rule, 64), _loop(hybrid, 65)):
+        assert all(instruction.opname != "UNARY_INVERT" for instruction in dis.get_instructions(function))
+
+
 def test_step_single_cell():
     config = Configuration.from_bits("00010000")
     assert str(step(config, rule_from_number(30))) == "00111000"
@@ -227,6 +264,42 @@ def test_tap_chunks_match_the_iterated_reference(monkeypatch, chunk, radius, bur
     assert temporal_sequence(Configuration(cells), rule, cell, burn_in + length) == tuple(column)
     spec = KeystreamSpec(rule, width=len(cells), tap=cell, burn_in=burn_in)
     assert keystream(Configuration(cells), spec, length) == tuple(column[burn_in:])
+
+
+# rules under which a random ring keeps changing, so that a fault after many steps still shows
+CHANGING = {1: (30, 45, 86, 101, 105, 150), 2: (869020563, 1436965290, 2746317213, 3610574010)}
+
+
+def halo_cases():
+    """Widths on both sides of the halo (64 cells, or the whole ring when narrower), at both radii."""
+    return [(radius, width) for radius in (1, 2) for width in (3, 5, 63, 64, 65, 129, 200) if width > 2 * radius]
+
+
+@pytest.mark.parametrize("kind", ["uniform", "assignment"])
+@pytest.mark.parametrize("radius, width", halo_cases())
+def test_long_runs_match_the_reference_across_many_halo_copies(monkeypatch, radius, width, kind):
+    # the ring loop copies its halo of h = min(width, 64) cells every h // radius steps: 200 steps at
+    # radius 1 and 100 at radius 2 copy it at least 3 times at every width
+    steps, rng = 200 // radius, random.Random(f"{radius} {width} {kind}")
+    numbers = [rng.choice(CHANGING[radius]) for _ in range(next(n for n in (3, 2) if width % n))]
+    if kind == "uniform":
+        rule = rule_from_number(numbers[0], radius)
+    else:  # a pattern whose length does not divide the width, so the tiling has a seam
+        rule = RuleAssignment.cycle([rule_from_number(n, radius) for n in numbers], width)
+    rows = [tuple(rng.getrandbits(1) for _ in range(width))]
+    for _ in range(steps):
+        rows.append(reference_step(rows[-1], rule))
+    assert len(set(rows[-32:])) > 1  # the ring still changes after the last copy
+    key = Configuration(rows[0])
+    monkeypatch.setattr(engine, "STATE_CHUNK", 7 * width)  # evolve makes its rows 7 to a call
+    assert [row.cells for row in evolve(key, rule, steps).rows] == rows
+    halo = min(width, 64)
+    for cell in sorted({0, halo - 1, width - halo, width - 1, rng.randrange(width)}):  # the seams of ring and halo
+        column = tuple(row[cell] for row in rows)
+        assert temporal_sequence(key, rule, cell, steps + 1) == column, cell
+        burn_in = rng.randrange(1, steps)
+        spec = KeystreamSpec(rule, width=width, tap=cell, burn_in=burn_in)
+        assert keystream(key, spec, steps + 1 - burn_in) == column[burn_in:], cell
 
 
 def test_a_rule_holds_its_table_as_a_tuple_of_ints():
