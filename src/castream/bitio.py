@@ -7,13 +7,12 @@ plain text (one row per line) or as an ASCII portable bitmap (P1) where a
 live cell is a black pixel.
 
 The command-line tool holds streams as 0/1 bytes (``_parsed``, ``_unpacked``)
-and writes them chunk by chunk as they are made (``_encoded``); it renders a
-diagram from packed ring states in the same way (``_diagram``).
+and encodes each chunk as it is made (``_encoded``), as it renders each chunk
+of ring states that the engine makes (``_diagram``).
 """
 from __future__ import annotations
 
-from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .engine import _TO_CELLS, _TO_DIGITS, SpaceTimeDiagram
 
@@ -27,8 +26,6 @@ __all__ = [
 ]
 
 Bits = tuple[int, ...]
-
-DIAGRAM_CHUNK_CELLS = 1 << 20  # diagram cells rendered at a time
 
 
 def parse_bits(text: str) -> Bits:
@@ -58,19 +55,14 @@ def pack_bits(bits: Bits) -> bytes:
 
 
 def _encoded(chunks: Iterable[bytes], fmt: str) -> Iterator[bytes]:
-    """0/1-byte chunks in a stream format, one piece a chunk; in raw, bits past a
-    whole byte are carried into the next chunk, so only the last byte is padded."""
+    """0/1-byte chunks in a stream format, one piece a chunk, as given; in raw each chunk is padded
+    to whole bytes, so every chunk but the last must hold a multiple of 8 bits, as the engine's
+    tap chunks do (``TAP_CHUNK``)."""
     if fmt == "ascii":
         yield from (chunk.translate(_TO_DIGITS) for chunk in chunks)
         yield b"\n"
-        return
-    rest = b""
-    for chunk in chunks:
-        data = rest + chunk
-        whole = len(data) - len(data) % 8
-        rest = data[whole:]
-        yield pack_bits(data[:whole])
-    yield pack_bits(rest)
+    else:
+        yield from map(pack_bits, chunks)
 
 
 def unpack_bits(data: bytes, count: int) -> Bits:
@@ -93,25 +85,25 @@ def _check_count(count: int, size: int) -> None:
 
 
 def diagram_text(diagram: SpaceTimeDiagram) -> str:
-    states = (row._state for row in diagram.rows)
-    return b"".join(_diagram(states, diagram.width, len(diagram.rows), "text")).decode()
+    states = [row._state for row in diagram.rows]
+    return b"".join(_diagram((states,), diagram.width, len(diagram.rows), "text")).decode()
 
 
 def diagram_pbm(diagram: SpaceTimeDiagram) -> str:
     """P1 portable bitmap, one pixel per cell, 1 = live cell (black)."""
-    states = (row._state for row in diagram.rows)
-    return b"".join(_diagram(states, diagram.width, len(diagram.rows), "pbm")).decode()
+    states = [row._state for row in diagram.rows]
+    return b"".join(_diagram((states,), diagram.width, len(diagram.rows), "pbm")).decode()
 
 
-def _diagram(states: Iterable[int], width: int, height: int, fmt: str) -> Iterator[bytes]:
-    """A diagram of ``height`` packed ring states (bit i = cell i) as a ``text`` or ``pbm`` file, in
-    chunks of whole rows and about ``DIAGRAM_CHUNK_CELLS`` cells.  A P1 chunk is a template of rows
-    of spaces, each ending in a newline, whose even offsets take the cells' digits in one assignment."""
+def _diagram(chunks: Iterable[Sequence[int]], width: int, height: int, fmt: str) -> Iterator[bytes]:
+    """A diagram of ``height`` packed ring states (bit i = cell i), given in non-empty chunks of whole
+    rows, as a ``text`` or ``pbm`` file, one piece a chunk.  A P1 piece is a template of rows of
+    spaces, each ending in a newline, whose even offsets take the cells' digits in one assignment."""
     if fmt == "pbm":
         yield f"P1\n{width} {height}\n".encode()
-    spec, states, per_chunk = f"0{width}b", iter(states), max(1, DIAGRAM_CHUNK_CELLS // width)
-    pixel_row = b" " * (2 * width - 1) + b"\n"
-    while rows := [format(state, spec)[::-1] for state in islice(states, per_chunk)]:
+    spec, pixel_row = f"0{width}b", b" " * (2 * width - 1) + b"\n"
+    for states in chunks:
+        rows = [format(state, spec)[::-1] for state in states]
         if fmt == "pbm":
             chunk = bytearray(pixel_row * len(rows))
             chunk[0::2] = "".join(rows).encode()

@@ -39,8 +39,6 @@ def keystream(key: Configuration, spec: KeystreamSpec, length: int) -> Bits:
 
 def _keystream_chunks(key: Configuration, spec: KeystreamSpec, length: int) -> Iterator[bytearray]:
     """The keystream as 0/1 bytes, in the engine's tap chunks; the arguments are checked on the call."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
     if key.width != spec.width:
         raise ValueError(f"key width {key.width} does not match spec width {spec.width}")
     return _taps(key, spec.rule, spec.tap, length, spec.burn_in)

@@ -254,7 +254,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_attack(args: argparse.Namespace) -> int:
     from . import bitio
-    from .attack import TrialsExhaustedError, attack
+    from .attack import TrialsExhaustedError, _checked_observation, attack
     from .engine import Rule
     observed = bitio.parse_bits(args.sequence)
     if args.width is not None and args.width != len(observed):
@@ -264,21 +264,19 @@ def cmd_attack(args: argparse.Namespace) -> int:
     if max_trials is None:
         # 64 * 2^(N-1), written so that N = 0 is left for attack() to reject
         max_trials = 32 << len(observed)
-    transcript_lines: list[str] = []
+    _checked_observation(rule, observed, max_trials, "max_trials")  # a usage error writes no transcript
+    # each trial's line is written as the trial ends, so memory is flat in the trial budget
+    path = args.transcript
+    with open(path, "w", encoding="ascii", newline="") if path else nullcontext() as transcript:
 
-    def trace(trial: int, guess: Bits, key: Configuration, matched: bool) -> None:
-        guess_text = "".join(str(b) for b in guess)
-        transcript_lines.append(f"trial {trial} guess {guess_text} key {key} match {int(matched)}")
+        def trace(trial: int, guess: Bits, key: Configuration, matched: bool) -> None:
+            transcript.write(f"trial {trial} guess {''.join(map(str, guess))} key {key} match {int(matched)}\n")
 
-    try:
-        result = attack(rule, observed, max_trials=max_trials, seed=args.seed, trace=trace)
-    except TrialsExhaustedError as exc:
-        result = exc
-    if args.transcript:
-        _emit("\n".join(transcript_lines) + "\n", args.transcript)
-    if isinstance(result, TrialsExhaustedError):
-        print(f"error: {result}", file=sys.stderr)
-        return EXIT_EXHAUSTED
+        try:
+            result = attack(rule, observed, max_trials=max_trials, seed=args.seed, trace=trace if path else None)
+        except TrialsExhaustedError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_EXHAUSTED
     lines = [
         f"seed = {args.seed}",
         f"max_trials = {max_trials}",

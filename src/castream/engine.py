@@ -17,7 +17,7 @@ onto each side, so it steps with plain shifts, with no wrap and no mask,
 and it copies the halo again only when the steps have spent it.  Before
 each step it writes ``state >> shift & pick``: a tap cell's bit as a 0/1
 byte, which leave in chunks of ``TAP_CHUNK`` so that a keystream is written
-as it is made, or a whole row, about ``STATE_CHUNK`` cells of rows a call.
+as it is made, or a whole row, in chunks of about ``STATE_CHUNK`` cells.
 Rows that ``step`` and ``evolve`` make are not re-validated: ``_pack`` is
 the one check that bits are 0 or 1.
 
@@ -317,10 +317,9 @@ def _anf(truth_table: tuple[int, ...]) -> int:
     return anf
 
 
-@functools.lru_cache(maxsize=1024)
 def _circuit(truth_table: tuple[int, ...], operands: tuple[str, ...], one: str) -> str:
     """The table as bitwise code of the operands, leftmost neighbor first, and ``one``, a mask of
-    ones: the smallest circuit that ``_cheapest`` finds."""
+    ones: the smallest circuit that ``_cheapest`` finds.  Uncached: its callers cache what they compile."""
     return _cheapest(_pack(truth_table), len(operands))[1].format(*operands, m=one)
 
 
@@ -445,22 +444,22 @@ def _unpack(state: int, width: int) -> tuple[int, ...]:
     return tuple(digits.encode().translate(_TO_CELLS))
 
 
-def _states(config: Configuration, rule: RuleLike, steps: int) -> Iterator[int]:
-    """Packed ring states (bit i = cell i) at times 0 .. steps, one call of the ring loop per chunk
-    of whole rows, about ``STATE_CHUNK`` cells; the arguments are checked on the call."""
+def _states(config: Configuration, rule: RuleLike, steps: int) -> Iterator[list[int]]:
+    """Packed ring states (bit i = cell i) at times 0 .. steps: the whole rows, about ``STATE_CHUNK``
+    cells, that each call of the ring loop fills, then ``[final state]``; arguments are checked on the call."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     width = config.width
     run, full, rows = _loop(rule, width), (1 << width) - 1, max(1, STATE_CHUNK // width)
 
-    def states(state: int) -> Iterator[int]:
+    def chunks(state: int) -> Iterator[list[int]]:
         for start in range(0, steps, rows):
             out = [0] * min(rows, steps - start)
             state = run(state, out, 0, full)
-            yield from out
-        yield state
+            yield out
+        yield [state]
 
-    return states(config._state)
+    return chunks(config._state)
 
 
 def _taps(config: Configuration, rule: RuleLike, cell: int, length: int, burn_in: int = 0) -> Iterator[bytearray]:
@@ -493,7 +492,8 @@ step_nonuniform = step
 
 def evolve(config: Configuration, rule: RuleLike, steps: int) -> SpaceTimeDiagram:
     """Evolve for ``steps`` steps; rows[0] is the initial configuration."""
-    return SpaceTimeDiagram(tuple(Configuration._packed(s, config.width) for s in _states(config, rule, steps)))
+    chunks = _states(config, rule, steps)
+    return SpaceTimeDiagram(tuple(Configuration._packed(s, config.width) for rows in chunks for s in rows))
 
 
 def temporal_sequence(config: Configuration, rule: RuleLike, cell: int, length: int) -> tuple[int, ...]:

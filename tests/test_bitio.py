@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from castream import bitio
+from castream import bitio, engine
 from castream.bitio import (
     diagram_pbm,
     diagram_text,
@@ -116,17 +116,24 @@ def test_diagrams_match_per_cell_renderers(number, width, steps, seed):
     assert (diagram_text(diagram), diagram_pbm(diagram)) == reference_text(diagram)
 
 
+def test_tap_chunks_pack_to_whole_bytes():
+    # raw encoding pads each chunk to whole bytes, so every tap chunk but the last must fill its bytes
+    assert engine.TAP_CHUNK % 8 == 0
+
+
 @given(width=st.integers(3, 40), steps=st.integers(0, 12), chunk_cells=st.integers(1, 200),
        fmt=st.sampled_from(("text", "pbm")))
 def test_diagram_chunks_hold_whole_rows_and_join_to_the_file(width, steps, chunk_cells, fmt):
+    # each chunk is the rows of one call of the ring loop, rendered as given; the final state comes alone
     diagram = evolve(Configuration.single(width), rule_from_number(30), steps)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bitio, "DIAGRAM_CHUNK_CELLS", chunk_cells)
-        chunks = list(bitio._diagram((row._state for row in diagram.rows), width, len(diagram.rows), fmt))
+        patch.setattr(engine, "STATE_CHUNK", chunk_cells)
+        states = engine._states(Configuration.single(width), rule_from_number(30), steps)
+        chunks = list(bitio._diagram(states, width, steps + 1, fmt))
     text, pbm = reference_text(diagram)
     if fmt == "pbm":
         assert chunks[0] == f"P1\n{width} {steps + 1}\n".encode()
     per_chunk, line = max(1, chunk_cells // width), 2 * width if fmt == "pbm" else width + 1
-    sizes = [min(per_chunk, steps + 1 - start) * line for start in range(0, steps + 1, per_chunk)]
+    sizes = [min(per_chunk, steps - start) * line for start in range(0, steps, per_chunk)] + [line]
     assert [len(chunk) for chunk in chunks[fmt == "pbm":]] == sizes
     assert b"".join(chunks).decode() == (pbm if fmt == "pbm" else text)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import castream
 from castream.cli import (
     EXIT_EXHAUSTED,
+    EXIT_IO,
     EXIT_OK,
     EXIT_TEST_FAILED,
     EXIT_USAGE,
@@ -99,10 +100,10 @@ def test_keystream_known_answer(capsys):
     assert out == "00100\n"
 
 
-@pytest.mark.parametrize("chunk", [None, 9])
+@pytest.mark.parametrize("chunk", [None, 24])
 def test_keystream_is_written_chunk_by_chunk_as_the_library_makes_it(capsysbinary, monkeypatch, chunk):
     # 65549 bits after a burn-in of 70001 steps: a whole chunk, then 13 bits, so the last byte is
-    # padded; a chunk of 9 bits also carries bits past a whole byte into the next chunk
+    # padded; chunks of 24 bits cross thousands of chunk boundaries, each on a whole byte
     from castream import bitio, engine
     from castream.cipher import KeystreamSpec, keystream
     from castream.engine import Configuration, RuleAssignment, rule_from_number
@@ -441,6 +442,41 @@ def test_attack_rejects_sequences_shorter_than_3(capsys, sequence):
     assert code == EXIT_USAGE
     assert out == ""
     assert "observed sequence must contain at least 3 values" in err
+
+
+@pytest.mark.parametrize("transcribed", [False, True])
+def test_attack_traces_its_trials_only_into_a_transcript(capsys, monkeypatch, tmp_path, transcribed):
+    import castream.attack
+
+    traces, real = [], castream.attack.attack
+
+    def spy(*args, **kwargs):
+        traces.append(kwargs["trace"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(castream.attack, "attack", spy)
+    transcript = ["--transcript", str(tmp_path / "trace.txt")] if transcribed else []
+    assert run(capsys, "attack", "--sequence", "00100", *transcript)[0] == EXIT_OK
+    assert len(traces) == 1 and (traces[0] is not None) == transcribed
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--rule", "110", "--sequence", "00100"], "rule 110 is not left-permutive"),
+    (["--sequence", "01"], "observed sequence must contain at least 3 values"),
+    (["--sequence", "00100", "--max-trials", "0"], "max_trials must be >= 1"),
+])
+def test_attack_usage_error_writes_no_transcript(capsys, tmp_path, argv, message):
+    transcript = tmp_path / "trace.txt"
+    code, out, err = run(capsys, "attack", *argv, "--transcript", str(transcript))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert message in err
+    assert not transcript.exists()
+
+
+def test_attack_unwritable_transcript_is_an_io_error(capsys, tmp_path):
+    code, out, err = run(capsys, "attack", "--sequence", "00100", "--transcript", str(tmp_path / "no" / "trace.txt"))
+    assert (code, out) == (EXIT_IO, "")
+    assert err.startswith("error: ")
 
 
 def test_fips_zero_stream_fails(tmp_path, capsys):
