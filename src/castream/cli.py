@@ -17,7 +17,7 @@ import sys
 from contextlib import nullcontext
 from functools import cache
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 # the layers (and numpy) are imported by the commands that run them, so --help loads none
 if TYPE_CHECKING:
@@ -32,7 +32,7 @@ EXIT_EXHAUSTED = 4
 EXIT_TEST_FAILED = 5
 
 DEFAULT_MAX_WIDTH = 1 << 20  # memory cap for ring widths; raise with --max-width
-CSV_CHUNK_ROWS = 1 << 16  # spectrum rows formatted and written at a time
+CSV_CHUNK_ROWS = 1 << 13  # spectrum rows a piece, so that its scratch arrays (0.5 MB) and bytes stay in L2 cache
 
 Bits = tuple[int, ...]
 
@@ -184,31 +184,40 @@ def _digit_groups() -> np.ndarray:
     return np.concatenate((loose, padded)).view(np.uint32).ravel()
 
 
-def _spectrum_rows(start: int, values: np.ndarray) -> bytes:
-    """The CSV lines ``omega,value`` of ``values`` at omega = start, start + 1, ...: each row is six
-    uint32 words, omega's two 4-digit groups, "," or ",-", |value|'s two and "\\n", less every zero byte."""
+def _spectrum_rows(start: int, values: np.ndarray) -> Iterator[bytes]:
+    """The CSV lines ``omega,value`` of ``values`` at omega = start, start + 1, ..., in pieces of ``CSV_CHUNK_ROWS``
+    rows: each row is six uint32 words, omega's two 4-digit groups, "," or ",-", |value|'s two and "\\n", less
+    every zero byte. Each piece refills the same words and work arrays through ``out=``, and allocates only its bytes."""
     import numpy as np
     groups = _digit_groups()
-    words = np.empty((len(values), 6), dtype=np.uint32)
-    for column, number in ((0, np.arange(start, start + len(values), dtype=np.int32)), (3, np.abs(values))):
-        high = number // 10**4
-        wide = high > 0  # the number has digits in its high group, so its low group is zero-padded
-        words[:, column] = groups.take(high) * wide
-        words[:, column + 1] = groups.take(number - high * 10**4 + wide * 10**4)
+    size = min(CSV_CHUNK_ROWS, len(values))
+    omega = np.arange(start, start + size, dtype=np.intp)
+    scratch = (np.empty((size, 6), dtype=np.uint32), *(np.empty(size, dtype=np.intp) for _ in range(3)),
+               np.empty(size, dtype=np.uint32), np.empty(size, dtype=bool))
     comma, minus, newline = np.frombuffer(b",\0\0\0,-\0\0\n\0\0\0", dtype=np.uint32)
-    words[:, 2] = np.where(values < 0, minus, comma)
-    words[:, 5] = newline
-    return words.tobytes().translate(None, b"\0")
+    scratch[0][:, 5] = newline
+    for first in range(0, len(values), CSV_CHUNK_ROWS):
+        piece = values[first : first + CSV_CHUNK_ROWS]
+        words, magnitude, high, low, group, flag = (array[: len(piece)] for array in scratch)
+        for column, number in ((0, omega[: len(piece)]), (3, np.abs(piece, out=magnitude))):
+            np.divmod(number, 10**4, out=(high, low))
+            np.greater(high, 0, out=flag)  # the number has digits in its high group, so its low group is zero-padded
+            np.add(low, 10**4, out=low, where=flag)
+            # mode="clip" takes straight into out (the default mode buffers it); every index is in range
+            np.multiply(groups.take(high, out=group, mode="clip"), flag, out=words[:, column])
+            np.copyto(words[:, column + 1], groups.take(low, out=group, mode="clip"))
+        np.copyto(words[:, 2], comma)
+        np.copyto(words[:, 2], minus, where=np.less(piece, 0, out=flag))
+        yield words.tobytes().translate(None, b"\0")
+        omega += CSV_CHUNK_ROWS
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     from .engine import Rule
     from .spectrum import iterate_rule, walsh_transform
     rule = Rule.from_number(args.rule, args.radius)
-    values = walsh_transform(iterate_rule(rule, args.order)).array
-    starts = range(0, len(values), CSV_CHUNK_ROWS)
-    rows = (_spectrum_rows(start, values[start : start + CSV_CHUNK_ROWS]) for start in starts)
-    _emit(chain([b"omega,value\n"], rows), args.out)
+    values = walsh_transform(iterate_rule(rule, args.order)).array  # a usage error opens no --out
+    _emit(chain([b"omega,value\n"], _spectrum_rows(0, values)), args.out)
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ a numpy int32 array of 2^n entries, whose first three levels are a lookup of
 each byte of the packed table; numpy is imported only where that array is
 made or read.  ``MAX_TRANSFORM_VARIABLES`` caps it at 2^24 entries (64 MB);
 the largest function ``iterate_rule`` reaches has 23 variables (rule 30 at
-order 11), where the CLI ``spectrum`` command peaks at 92 MB of RSS.
+order 11), where the CLI ``spectrum`` command peaks at 87 MB of RSS.
 
 ``scan_rules`` does each piece of work once.  A rule is balanced when four
 of the eight bits of its number are set.  Conjugation keeps affinity and

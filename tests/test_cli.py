@@ -473,6 +473,20 @@ def test_attack_usage_error_writes_no_transcript(capsys, tmp_path, argv, message
     assert not transcript.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--rule", "30", "--order", "0"], "order must be >= 1"),
+    (["--rule", "256"], "rule number 256 out of range"),
+    (["--rule", "30", "--radius", "2", "--order", "6"], "iterated function would need 25 variables"),
+])
+def test_spectrum_usage_error_writes_no_file(capsys, tmp_path, argv, message):
+    # the transform is finished before --out is opened, so a rejected spectrum leaves nothing behind
+    path = tmp_path / "spectrum.csv"
+    code, out, err = run(capsys, "spectrum", *argv, "--out", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not path.exists()
+
+
 def test_attack_unwritable_transcript_is_an_io_error(capsys, tmp_path):
     code, out, err = run(capsys, "attack", "--sequence", "00100", "--transcript", str(tmp_path / "no" / "trace.txt"))
     assert (code, out) == (EXIT_IO, "")

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from castream.cli import CSV_CHUNK_ROWS, _spectrum_rows, main
+from castream import cli
+from castream.cli import _spectrum_rows, main
 from castream.engine import rule_from_number
 from castream.spectrum import (
     BooleanFunction,
@@ -467,14 +468,16 @@ _EDGE_VALUES = (0, 9_999, -9_999, 10_000, -10_000, 10**7, -(10**7), 1 << 24, -(1
 
 
 @given(
-    length=st.integers(1, 3 * CSV_CHUNK_ROWS),
+    rows=st.integers(1, 17),
+    length=st.integers(1, 200),
     data=st.data(),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=30, deadline=None)
-def test_spectrum_rows_match_per_row_formatting(length, data, seed):
-    # the rows run across a digit-count boundary of omega (or start at omega 0), with values of
-    # every digit count in [-2^24, 2^24] and the edges of the 4-digit groups placed among them
+def test_spectrum_rows_match_per_row_formatting(rows, length, data, seed):
+    # pieces of 1 to 17 rows, so the scratch arrays are refilled many times and the last piece may be short;
+    # the rows run across a digit-count boundary of omega (or start at omega 0), with values of every
+    # digit count in [-2^24, 2^24] and the edges of the 4-digit groups placed among them
     anchor = data.draw(st.sampled_from([0, 10**4, 10**7, (1 << 24) - 1]), label="anchor")
     start = max(0, anchor - data.draw(st.integers(0, length), label="offset"))
     rng = np.random.default_rng(seed)
@@ -482,8 +485,20 @@ def test_spectrum_rows_match_per_row_formatting(length, data, seed):
     for position, value in data.draw(st.lists(st.tuples(st.integers(0, length - 1), st.sampled_from(_EDGE_VALUES)))):
         values[position] = value
     values = values.astype(np.int32)
-    expected = "".join(f"{start + i},{value}\n" for i, value in enumerate(values.tolist())).encode()
-    assert _spectrum_rows(start, values) == expected
+    expected = [f"{start + i},{value}\n".encode() for i, value in enumerate(values.tolist())]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "CSV_CHUNK_ROWS", rows)
+        pieces = list(_spectrum_rows(start, values))
+    assert pieces == [b"".join(expected[first : first + rows]) for first in range(0, length, rows)]
+
+
+def test_spectrum_rows_refill_a_short_last_piece(monkeypatch):
+    # a piece of wide negative values, then a short piece of small positive ones: the sign and the high
+    # groups are written again, and only the rows of the short piece are emitted
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4)
+    values = np.array([-(1 << 24), -12_345_678, -10_000, -99_999, 5, 0], dtype=np.int32)
+    rows = [f"{9_998 + i},{value}\n".encode() for i, value in enumerate(values.tolist())]
+    assert list(_spectrum_rows(9_998, values)) == [b"".join(rows[:4]), b"".join(rows[4:])]
 
 
 def test_int32_spectrum_is_exact_at_24_variables():
