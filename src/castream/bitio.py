@@ -6,15 +6,16 @@ bit count to disambiguate the final byte's padding).  Diagrams render as
 plain text (one row per line) or as an ASCII portable bitmap (P1) where a
 live cell is a black pixel.
 
-The command-line tool holds streams as 0/1 bytes (``_parsed``, ``_unpacked``)
-and encodes each chunk as it is made (``_encoded``), as it renders each chunk
-of ring states that the engine makes (``_diagram``).
+The command-line tool holds streams as 0/1 bytes: it reads a file with
+``_read_stream`` and encodes each chunk as it is made (``_encoded``), as it
+renders each chunk of ring states that the engine makes (``_diagram``).
 """
 from __future__ import annotations
 
+import os
 from typing import Iterable, Iterator, Sequence
 
-from .engine import _TO_CELLS, _TO_DIGITS, SpaceTimeDiagram
+from .engine import _TO_CELLS, _TO_DIGITS, SpaceTimeDiagram, _pack
 
 __all__ = [
     "parse_bits",
@@ -43,7 +44,7 @@ def _parsed(text: str) -> bytes:
 
 
 def format_bits(bits: Bits) -> str:
-    return bytes(bits).translate(_TO_DIGITS).decode() + "\n"
+    return format(_pack(bits), f"0{len(bits)}b")[::-1][: len(bits)] + "\n"  # width 0 formats as "0"
 
 
 def pack_bits(bits: Bits) -> bytes:
@@ -51,7 +52,11 @@ def pack_bits(bits: Bits) -> bytes:
     size = (len(bits) + 7) // 8
     if not size:
         return b""
-    return (int(bytes(bits).translate(_TO_DIGITS), 2) << (8 * size - len(bits))).to_bytes(size, "big")
+    try:  # an entry other than 0 or 1 fails bytes() or, as the digit "2", int(): no pass of its own
+        value = int(bytes(bits).translate(_TO_DIGITS), 2)
+    except (TypeError, ValueError):
+        raise ValueError("bits must be 0 or 1") from None
+    return (value << (8 * size - len(bits))).to_bytes(size, "big")
 
 
 def _encoded(chunks: Iterable[bytes], fmt: str) -> Iterator[bytes]:
@@ -82,6 +87,26 @@ def _unpacked(data: bytes, count: int) -> bytes:
 def _check_count(count: int, size: int) -> None:
     if count < 0 or count > 8 * size:
         raise ValueError(f"cannot read {count} bits from {size} bytes")
+
+
+def _read_stream(path: str, fmt: str, bits: int | None, keep: int | None = None) -> tuple[bytes, int]:
+    """The stream in a file as 0/1 bytes, or only its first ``keep`` bits, and its length in bits; ASCII
+    text is read and checked 1 MiB at a time, and a raw file only as far as is kept."""
+    if fmt == "ascii":
+        parts, count = [], 0
+        with open(path, encoding="utf-8") as handle:
+            for text in iter(lambda: handle.read(1 << 20), ""):
+                cells = _parsed(text)  # every piece is checked, kept or not
+                if keep is None or count < keep:
+                    parts.append(cells)
+                count += len(cells)
+        return b"".join(parts)[:keep], count
+    if bits is None:
+        raise ValueError("--bits is required with --stream-format raw")
+    with open(path, "rb") as handle:
+        _check_count(bits, os.fstat(handle.fileno()).st_size)
+        held = bits if keep is None else min(bits, keep)
+        return _unpacked(handle.read((held + 7) // 8), held), bits
 
 
 def diagram_text(diagram: SpaceTimeDiagram) -> str:

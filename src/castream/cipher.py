@@ -8,8 +8,6 @@ one-time-use discipline in the caller's face.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 from .engine import Configuration, RuleLike, _pack, _Record, _taps, _unpack
 
 __all__ = ["KeystreamSpec", "keystream", "vernam_encrypt", "vernam_decrypt"]
@@ -34,14 +32,9 @@ class KeystreamSpec(_Record):
 
 def keystream(key: Configuration, spec: KeystreamSpec, length: int) -> Bits:
     """Tap-cell sequence of the ring seeded with ``key``, after burn-in."""
-    return tuple(b"".join(_keystream_chunks(key, spec, length)))
-
-
-def _keystream_chunks(key: Configuration, spec: KeystreamSpec, length: int) -> Iterator[bytearray]:
-    """The keystream as 0/1 bytes, in the engine's tap chunks; the arguments are checked on the call."""
     if key.width != spec.width:
         raise ValueError(f"key width {key.width} does not match spec width {spec.width}")
-    return _taps(key, spec.rule, spec.tap, length, spec.burn_in)
+    return tuple(b"".join(_taps(key, spec.rule, spec.tap, length, spec.burn_in)))
 
 
 def vernam_encrypt(plain: Bits, key: Bits) -> Bits:

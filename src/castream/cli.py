@@ -2,9 +2,10 @@
 
 Subcommands cover ring evolution, keystream generation, the XOR cipher,
 Walsh-spectrum reports, rule classification, known-plaintext key recovery,
-and the statistical battery.  Runs are reproducible from the command line
-alone: no environment variables are consulted, and every stochastic
-operation takes an explicit seed (or prints the default it used).
+and the statistical battery.  This module only parses flags and wires the
+layers, which read, make and write the data.  Runs are reproducible from the
+command line alone: no environment variables are consulted, and every
+stochastic operation takes an explicit seed (or prints the default it used).
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 key recovery
 exhausted its trial budget, 5 statistical battery failed.
@@ -12,17 +13,13 @@ exhausted its trial budget, 5 statistical battery failed.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from contextlib import nullcontext
-from functools import cache
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-# the layers (and numpy) are imported by the commands that run them, so --help loads none
+# the layers are imported by the commands that run them, so --help loads none
 if TYPE_CHECKING:
-    import numpy as np
-
     from .engine import Configuration, RuleLike
 
 EXIT_OK = 0
@@ -32,9 +29,6 @@ EXIT_EXHAUSTED = 4
 EXIT_TEST_FAILED = 5
 
 DEFAULT_MAX_WIDTH = 1 << 20  # memory cap for ring widths; raise with --max-width
-CSV_CHUNK_ROWS = 1 << 13  # spectrum rows a piece, so that its scratch arrays (0.5 MB) and bytes stay in L2 cache
-
-Bits = tuple[int, ...]
 
 
 def _rule_numbers(text: str, flag: str) -> list[int]:
@@ -109,27 +103,6 @@ def _emit(data: str | Iterable[bytes], out: str | None) -> None:
         handle.writelines((data.encode(),) if isinstance(data, str) else data)
 
 
-def _read_stream(path: str, fmt: str, bits: int | None, keep: int | None = None) -> tuple[bytes, int]:
-    """The stream in a file as 0/1 bytes, or only its first ``keep`` bits, and its length in bits; ASCII
-    text is read and checked 1 MiB at a time, and a raw file only as far as is kept."""
-    from . import bitio
-    if fmt == "ascii":
-        parts, count = [], 0
-        with open(path, encoding="utf-8") as handle:
-            for text in iter(lambda: handle.read(1 << 20), ""):
-                cells = bitio._parsed(text)  # every piece is checked, kept or not
-                if keep is None or count < keep:
-                    parts.append(cells)
-                count += len(cells)
-        return b"".join(parts)[:keep], count
-    if bits is None:
-        raise ValueError("--bits is required with --stream-format raw")
-    with open(path, "rb") as handle:
-        bitio._check_count(bits, os.fstat(handle.fileno()).st_size)
-        held = bits if keep is None else min(bits, keep)
-        return bitio._unpacked(handle.read((held + 7) // 8), held), bits
-
-
 def cmd_evolve(args: argparse.Namespace) -> int:
     from . import bitio
     from .engine import _states
@@ -141,19 +114,18 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 def cmd_keystream(args: argparse.Namespace) -> int:
     from . import bitio
-    from .cipher import KeystreamSpec, _keystream_chunks
+    from .engine import _taps
     key = _ring(args, args.key, "--key", ("zero", "random"))
-    rule = _build_rule(args)
-    spec = KeystreamSpec(rule=rule, width=key.width, tap=args.cell, burn_in=args.burn_in)
-    _emit(bitio._encoded(_keystream_chunks(key, spec, args.length), args.stream_format), args.out)
+    chunks = _taps(key, _build_rule(args), args.cell, args.length, args.burn_in)  # a usage error opens no --out
+    _emit(bitio._encoded(chunks, args.stream_format), args.out)
     return EXIT_OK
 
 
 def _cmd_xor(args: argparse.Namespace) -> int:
     from . import bitio
-    message, _ = _read_stream(args.infile, args.stream_format, args.bits)
+    message, _ = bitio._read_stream(args.infile, args.stream_format, args.bits)
     key_bits = args.bits if args.key_bits is None else args.key_bits  # --key-bits 0 is no key, not absent
-    key, _ = _read_stream(args.key, args.stream_format, key_bits)
+    key, _ = bitio._read_stream(args.key, args.stream_format, key_bits)
     if len(key) != len(message):
         if not args.allow_key_reuse:
             raise ValueError(
@@ -170,51 +142,9 @@ def _cmd_xor(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@cache
-def _digit_groups() -> np.ndarray:
-    """Each number x below 10^4 in decimal as one 4-byte word (uint32): entry x with its
-    leading zeros as byte 0 (0 itself is "0"), entry 10^4 + x zero-padded."""
-    import numpy as np
-    from .spectrum import MAX_TRANSFORM_VARIABLES
-    assert 1 << MAX_TRANSFORM_VARIABLES < 10**8  # so every omega and |W| is two 4-digit groups
-    # uint16, as int64 temporaries would add about 1 MB to the peak RSS of a small spectrum
-    numbers, powers = np.arange(10**4, dtype=np.uint16)[:, None], np.array([1000, 100, 10, 1], dtype=np.uint16)
-    padded = (numbers // powers % 10 + ord("0")).astype(np.uint8)
-    loose = padded * ((numbers >= powers) | (powers == 1))  # the last digit stays, so 0 is "0"
-    return np.concatenate((loose, padded)).view(np.uint32).ravel()
-
-
-def _spectrum_rows(start: int, values: np.ndarray) -> Iterator[bytes]:
-    """The CSV lines ``omega,value`` of ``values`` at omega = start, start + 1, ..., in pieces of ``CSV_CHUNK_ROWS``
-    rows: each row is six uint32 words, omega's two 4-digit groups, "," or ",-", |value|'s two and "\\n", less
-    every zero byte. Each piece refills the same words and work arrays through ``out=``, and allocates only its bytes."""
-    import numpy as np
-    groups = _digit_groups()
-    size = min(CSV_CHUNK_ROWS, len(values))
-    omega = np.arange(start, start + size, dtype=np.intp)
-    scratch = (np.empty((size, 6), dtype=np.uint32), *(np.empty(size, dtype=np.intp) for _ in range(3)),
-               np.empty(size, dtype=np.uint32), np.empty(size, dtype=bool))
-    comma, minus, newline = np.frombuffer(b",\0\0\0,-\0\0\n\0\0\0", dtype=np.uint32)
-    scratch[0][:, 5] = newline
-    for first in range(0, len(values), CSV_CHUNK_ROWS):
-        piece = values[first : first + CSV_CHUNK_ROWS]
-        words, magnitude, high, low, group, flag = (array[: len(piece)] for array in scratch)
-        for column, number in ((0, omega[: len(piece)]), (3, np.abs(piece, out=magnitude))):
-            np.divmod(number, 10**4, out=(high, low))
-            np.greater(high, 0, out=flag)  # the number has digits in its high group, so its low group is zero-padded
-            np.add(low, 10**4, out=low, where=flag)
-            # mode="clip" takes straight into out (the default mode buffers it); every index is in range
-            np.multiply(groups.take(high, out=group, mode="clip"), flag, out=words[:, column])
-            np.copyto(words[:, column + 1], groups.take(low, out=group, mode="clip"))
-        np.copyto(words[:, 2], comma)
-        np.copyto(words[:, 2], minus, where=np.less(piece, 0, out=flag))
-        yield words.tobytes().translate(None, b"\0")
-        omega += CSV_CHUNK_ROWS
-
-
 def cmd_spectrum(args: argparse.Namespace) -> int:
     from .engine import Rule
-    from .spectrum import iterate_rule, walsh_transform
+    from .spectrum import _spectrum_rows, iterate_rule, walsh_transform
     rule = Rule.from_number(args.rule, args.radius)
     values = walsh_transform(iterate_rule(rule, args.order)).array  # a usage error opens no --out
     _emit(chain([b"omega,value\n"], _spectrum_rows(0, values)), args.out)
@@ -278,7 +208,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     path = args.transcript
     with open(path, "w", encoding="ascii", newline="") if path else nullcontext() as transcript:
 
-        def trace(trial: int, guess: Bits, key: Configuration, matched: bool) -> None:
+        def trace(trial: int, guess: tuple[int, ...], key: Configuration, matched: bool) -> None:
             transcript.write(f"trial {trial} guess {''.join(map(str, guess))} key {key} match {int(matched)}\n")
 
         try:
@@ -298,6 +228,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_fips(args: argparse.Namespace) -> int:
+    from .bitio import _read_stream
     from .fips import SAMPLE_BITS, Thresholds, fips_battery
     sample, count = _read_stream(args.infile, args.stream_format, args.bits, SAMPLE_BITS)
     if count < SAMPLE_BITS:
@@ -344,7 +275,6 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_seed, help="seed for --init random")
         p.add_argument("--format", choices=("text", "pbm"), default="text")
         p.add_argument("--max-width", type=_positive_int, default=DEFAULT_MAX_WIDTH, help="ring width cap")
-        p.add_argument("--out", help="output path (default stdout)")
         p.set_defaults(func=cmd_evolve)
 
     if p := command("keystream", help="emit the tap-cell sequence of a keyed ring"):
@@ -357,14 +287,12 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
         p.add_argument("--burn-in", type=int, default=0, help="steps discarded before output")
         p.add_argument("--stream-format", choices=("ascii", "raw"), default="ascii")
         p.add_argument("--max-width", type=_positive_int, default=DEFAULT_MAX_WIDTH, help="ring width cap")
-        p.add_argument("--out", help="output path (default stdout)")
         p.set_defaults(func=cmd_keystream)
 
     for mode in ("encrypt", "decrypt"):
         if p := command(mode, help=f"{mode} a bitstream with a keystream file (XOR)"):
             p.add_argument("--in", dest="infile", required=True, help="input bitstream file")
             p.add_argument("--key", required=True, help="keystream file")
-            p.add_argument("--out", help="output path (default stdout)")
             p.add_argument("--stream-format", choices=("ascii", "raw"), default="ascii")
             p.add_argument("--bits", type=int, help="bit count of the input (raw format)")
             p.add_argument("--key-bits", type=int, help="bit count of the key file (raw format)")
@@ -379,18 +307,15 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
         p.add_argument("--rule", type=int, required=True)
         p.add_argument("--radius", type=int, default=1, choices=(1, 2))
         p.add_argument("--order", type=int, default=1, help="iteration count")
-        p.add_argument("--out", help="output path (default stdout)")
         p.set_defaults(func=cmd_spectrum)
 
     if p := command("scan", help="scan all 256 rules: scores and equivalences (CSV)"):
         p.add_argument("--orders", default="1..5", help="iteration orders, e.g. 1..5 or 1,3")
         p.add_argument("--only", help="comma-separated rule numbers to report")
-        p.add_argument("--out", help="output path (default stdout)")
         p.set_defaults(func=cmd_scan)
 
     if p := command("classify", help="equivalence class, affinity, and immunity of a rule"):
         p.add_argument("--rule", type=int, required=True)
-        p.add_argument("--out", help="output path (default stdout)")
         p.set_defaults(func=cmd_classify)
 
     if p := command("attack", help="recover a key from an observed tap sequence"):
@@ -400,7 +325,6 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
         p.add_argument("--max-trials", type=int, help="trial budget (default 64 * 2^(N-1))")
         p.add_argument("--seed", type=_seed, default=0, help="guess-stream seed")
         p.add_argument("--transcript", help="write per-trial audit lines to this path")
-        p.add_argument("--out", help="output path (default stdout)")
         p.set_defaults(func=cmd_attack)
 
     if p := command("fips", help="run the statistical battery on a bitstream file"):
@@ -408,9 +332,10 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
         p.add_argument("--stream-format", choices=("ascii", "raw"), default="ascii")
         p.add_argument("--bits", type=int, help="bit count of the input (raw format)")
         p.add_argument("--thresholds", help="threshold config file (default: packaged values)")
-        p.add_argument("--out", help="output path (default stdout)")
         p.set_defaults(func=cmd_fips)
 
+    if named in sub.choices:  # every command writes to --out, after its other arguments
+        sub.choices[named].add_argument("--out", help="output path (default stdout)")
     return parser
 
 

@@ -18,8 +18,8 @@ and it copies the halo again only when the steps have spent it.  Before
 each step it writes ``state >> shift & pick``: a tap cell's bit as a 0/1
 byte, which leave in chunks of ``TAP_CHUNK`` so that a keystream is written
 as it is made, or a whole row, in chunks of about ``STATE_CHUNK`` cells.
-Rows that ``step`` and ``evolve`` make are not re-validated: ``_pack`` is
-the one check that bits are 0 or 1.
+Rows that ``step`` and ``evolve`` make are not re-validated: ``_pack``, or
+the ``_TO_DIGITS`` table that it parses through, checks that bits are 0 or 1.
 
 Every value class of the package derives from ``_Record``, which gives it
 the construction, comparison, hashing and printing of a frozen dataclass
@@ -52,7 +52,7 @@ TAP_CHUNK = 1 << 16  # tap bits a chunk holds: a multiple of 8, so each chunk pa
 STATE_CHUNK = 1 << 20  # cells of the whole rows that one call of the ring loop makes for _states
 HALO = 64  # cells copied from the far end onto each side of a stepped ring, at most its width
 
-_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_TO_DIGITS = b"01" + b"2" * 254  # 0/1 bytes to ASCII digits, any other byte to "2", which no base-2 int parses
 _TO_CELLS = bytes.maketrans(b"01", b"\x00\x01")
 
 _set = object.__setattr__  # how a record writes its own fields
@@ -430,13 +430,10 @@ def _pack(bits: Sequence[int], what: str = "bits") -> int:
     values = bits.tolist() if hasattr(bits, "tolist") else bits  # a buffer holds itemsize bytes a bit
     if isinstance(values, int):  # bytes(n) would be n zero bytes
         raise TypeError(f"{what} must be a sequence, got {values!r}")
-    try:
-        data = bytes(values)
-    except (TypeError, ValueError):  # an entry that is no int in 0..255: rejected below
-        data = b"\x02"
-    if data.translate(None, b"\x00\x01"):
-        raise ValueError(f"{what} must be 0 or 1")
-    return int(data[::-1].translate(_TO_DIGITS) or b"0", 2)
+    try:  # bytes() rejects an entry that is no int in 0..255, and int() the digit "2" of any other but 0 or 1
+        return int(bytes(values)[::-1].translate(_TO_DIGITS) or b"0", 2)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be 0 or 1") from None
 
 
 def _unpack(state: int, width: int) -> tuple[int, ...]:
@@ -467,6 +464,8 @@ def _taps(config: Configuration, rule: RuleLike, cell: int, length: int, burn_in
     ``TAP_CHUNK`` bits, the last one shorter; the arguments are checked on the call."""
     if not 0 <= cell < config.width:
         raise ValueError(f"cell {cell} out of range for width {config.width}")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
     if length < 1:
         raise ValueError("length must be >= 1")
     run = _loop(rule, config.width)

@@ -16,8 +16,8 @@ a bound off.
 """
 from __future__ import annotations
 
+import os
 from collections import Counter
-from importlib import resources
 from typing import Mapping, Sequence
 
 from .engine import _pack, _Record
@@ -90,8 +90,8 @@ class Thresholds(_Record):
 
     @classmethod
     def default(cls) -> "Thresholds":
-        text = resources.files("castream").joinpath("fips_thresholds.conf").read_text("utf-8")
-        return cls.parse(text)
+        """The standard's values, from the ``fips_thresholds.conf`` installed beside this module."""
+        return cls.from_file(os.path.join(os.path.dirname(__file__), "fips_thresholds.conf"))
 
 
 class TestResult(_Record):

@@ -19,9 +19,10 @@ is two popcounts, which is how balancedness, the min-max scores and the
 bias are computed, with no numpy.  The full spectrum is one butterfly over
 a numpy int32 array of 2^n entries, whose first three levels are a lookup of
 each byte of the packed table; numpy is imported only where that array is
-made or read.  ``MAX_TRANSFORM_VARIABLES`` caps it at 2^24 entries (64 MB);
-the largest function ``iterate_rule`` reaches has 23 variables (rule 30 at
-order 11), where the CLI ``spectrum`` command peaks at 87 MB of RSS.
+made, read or written as the CLI ``spectrum`` command's CSV (``_spectrum_rows``).
+``MAX_TRANSFORM_VARIABLES`` caps it at 2^24 entries (64 MB); the largest
+function ``iterate_rule`` reaches has 23 variables (rule 30 at order 11),
+where that command peaks at 87 MB of RSS.
 
 ``scan_rules`` does each piece of work once.  A rule is balanced when four
 of the eight bits of its number are set.  Conjugation keeps affinity and
@@ -61,7 +62,9 @@ __all__ = [
 ]
 
 MAX_TRANSFORM_VARIABLES = 24
+assert 1 << MAX_TRANSFORM_VARIABLES < 10**8  # so the CSV writes every omega and |W| as two 4-digit groups
 MAX_ITERATION_ORDER = 8
+CSV_CHUNK_ROWS = 1 << 13  # spectrum rows a piece, so that its scratch arrays (0.5 MB) and bytes stay in L2 cache
 
 
 class BooleanFunction(_Record):
@@ -384,3 +387,43 @@ def scan_report_csv(report: ScanReport, only: Iterable[int] | None = None) -> st
         fields += [str(row.conjugate), str(row.reflected), str(row.conjugate_reflected)]
         lines.append(",".join(fields))
     return "\n".join(lines) + "\n"
+
+
+@cache
+def _digit_groups() -> np.ndarray:
+    """Each number x below 10^4 in decimal as one 4-byte word (uint32): entry x with its
+    leading zeros as byte 0 (0 itself is "0"), entry 10^4 + x zero-padded."""
+    import numpy as np
+    # uint16, as int64 temporaries would add about 1 MB to the peak RSS of a small spectrum
+    numbers, powers = np.arange(10**4, dtype=np.uint16)[:, None], np.array([1000, 100, 10, 1], dtype=np.uint16)
+    padded = (numbers // powers % 10 + ord("0")).astype(np.uint8)
+    loose = padded * ((numbers >= powers) | (powers == 1))  # the last digit stays, so 0 is "0"
+    return np.concatenate((loose, padded)).view(np.uint32).ravel()
+
+
+def _spectrum_rows(start: int, values: np.ndarray) -> Iterator[bytes]:
+    """The CSV lines ``omega,value`` of ``values`` at omega = start, start + 1, ..., in pieces of ``CSV_CHUNK_ROWS``
+    rows: each row is six uint32 words, omega's two 4-digit groups, "," or ",-", |value|'s two and "\\n", less
+    every zero byte. Each piece refills the same words and work arrays through ``out=``, and allocates only its bytes."""
+    import numpy as np
+    groups = _digit_groups()
+    size = min(CSV_CHUNK_ROWS, len(values))
+    omega = np.arange(start, start + size, dtype=np.intp)
+    scratch = (np.empty((size, 6), dtype=np.uint32), *(np.empty(size, dtype=np.intp) for _ in range(3)),
+               np.empty(size, dtype=np.uint32), np.empty(size, dtype=bool))
+    comma, minus, newline = np.frombuffer(b",\0\0\0,-\0\0\n\0\0\0", dtype=np.uint32)
+    scratch[0][:, 5] = newline
+    for first in range(0, len(values), CSV_CHUNK_ROWS):
+        piece = values[first : first + CSV_CHUNK_ROWS]
+        words, magnitude, high, low, group, flag = (array[: len(piece)] for array in scratch)
+        for column, number in ((0, omega[: len(piece)]), (3, np.abs(piece, out=magnitude))):
+            np.divmod(number, 10**4, out=(high, low))
+            np.greater(high, 0, out=flag)  # the number has digits in its high group, so its low group is zero-padded
+            np.add(low, 10**4, out=low, where=flag)
+            # mode="clip" takes straight into out (the default mode buffers it); every index is in range
+            np.multiply(groups.take(high, out=group, mode="clip"), flag, out=words[:, column])
+            np.copyto(words[:, column + 1], groups.take(low, out=group, mode="clip"))
+        np.copyto(words[:, 2], comma)
+        np.copyto(words[:, 2], minus, where=np.less(piece, 0, out=flag))
+        yield words.tobytes().translate(None, b"\0")
+        omega += CSV_CHUNK_ROWS

@@ -66,6 +66,22 @@ def test_pack_unpack_round_trip():
         assert unpack_bits(pack_bits(bits), length) == bits
 
 
+# entries that are no bit: ints that bytes() takes or refuses, bytes that int(..., 2) would read as a digit,
+# space, underscore, sign or prefix, and values of other types
+@pytest.mark.parametrize("bits", [(2,), (0, -1), (256,), (1, 48), (49,), (1, 95, 1), (32, 1), (43, 1), (98, 1),
+                                  (1.0,), ("1",), (None,)])
+@pytest.mark.parametrize("writer", [format_bits, pack_bits])
+def test_writers_reject_an_entry_that_is_not_0_or_1(writer, bits):
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        writer(bits)
+
+
+def test_writers_take_booleans_as_bits():
+    assert format_bits((True, False)) == "10\n"
+    assert pack_bits((True, False)) == b"\x80"
+    assert format_bits(()) == "\n"
+
+
 def test_unpack_rejects_overlong_count():
     with pytest.raises(ValueError):
         unpack_bits(b"\x00", 9)

@@ -148,6 +148,19 @@ def test_keystream_decodes_to_the_reference_bits_and_reruns_identically(radius, 
             assert outputs[1].read_bytes() == outputs[0].read_bytes()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--burn-in", "-1"], "burn_in must be >= 0"),
+    (["--cell", "5"], "cell 5 out of range for width 5"),
+    (["--length", "0"], "length must be >= 1"),
+])
+def test_keystream_checks_the_tap_before_it_opens_out(capsys, tmp_path, flags, message):
+    out = tmp_path / "ks.txt"
+    argv = ["keystream", "--rule", "30", "--key", "01011", "--length", "8", *flags, "--out", str(out)]
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_USAGE, f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_keystream_random_key_is_seed_deterministic(capsys):
     argv = ["keystream", "--rule", "30", "--width", "16", "--key", "random", "--seed", "9", "--length", "64"]
     first = run(capsys, *argv)
@@ -733,7 +746,8 @@ def test_importing_a_layer_yields_the_module():
     assert castream.attack.forward_completion.__module__ == "castream.attack"
 
 
-_OPTIONAL_LAYERS = {"castream.attack", "castream.spectrum", "castream.algebra", "castream.fips"}
+# no command loads castream.cipher: keystream runs the engine's tap loop itself
+_OPTIONAL_LAYERS = {"castream.attack", "castream.spectrum", "castream.algebra", "castream.fips", "castream.cipher"}
 
 
 @pytest.mark.parametrize(
@@ -757,6 +771,78 @@ def test_start_path_loads_no_layer_for_help_and_neither_dataclasses_nor_fraction
     help_loaded, *loaded = _loaded_after_each([["--help"], *_NUMPY_FREE_COMMANDS], tmp_path)
     assert {module for module in help_loaded if module.startswith("castream.")} == {"castream.cli"}
     assert [modules & {"dataclasses", "fractions"} for modules in loaded] == [set()] * len(_NUMPY_FREE_COMMANDS)
-    # by the last command every layer has been loaded, so the check above is not vacuous
-    assert {"castream.engine", "castream.bitio", "castream.cipher", "castream.fips", "castream.spectrum",
+    # by the last command every layer a command runs has been loaded, so the check above is not vacuous
+    assert {"castream.engine", "castream.bitio", "castream.fips", "castream.spectrum",
             "castream.algebra", "castream.attack"} <= loaded[-1]
+
+
+# The exit-code property: argv for each command from valid, edge and malformed flag values, small enough that
+# every run is quick. None leaves a flag out; "@name" is a file in the run's directory, made by _stream_files.
+def _values(good, bad):
+    """A flag's value: one of ``good`` eight times as often as one of ``bad``, so that most runs get past argparse."""
+    return st.sampled_from([*good] * 8 + [*bad])
+
+
+_FILES = _values(("@ks.txt", "@ks.bin", "@zeros.txt", "@short.txt"), ("@bad.txt", "@empty.bin", "@missing.txt", "@.", None))
+_FORMAT = _values((None, "ascii", "raw"), ("hex",))
+_BITS = _values((None, "8", "20000"), ("-1", "0", "160001", "x"))
+_RULE = {"--rule": _values(("30", "86", "869020563"), ("256", "-1", "x", None)),
+         "--rules": _values((None, None, None, "30,86,101", "90,150"), ("30,x", ",", "300")),
+         "--radius": _values((None, "1", "2"), ("3",))}
+_RING = {"--width": _values((None, "5", "16", "64"), ("-1", "0", "x")), "--seed": _values((None, "0", "7"), ("-1", "x")),
+         "--max-width": _values((None, None, "64"), ("-5", "0", "8"))}
+_XOR = {"--in": _FILES, "--key": _FILES, "--stream-format": _FORMAT, "--bits": _BITS, "--key-bits": _BITS,
+        "--allow-key-reuse": st.sampled_from([None, True])}
+_ARGV_FLAGS = {
+    "evolve": {**_RULE, **_RING, "--steps": _values(("0", "3", "40"), ("-1", "x", None)),
+               "--init": _values(("single", "zero", "random", "0101"), ("012", "", "١٠", None)),
+               "--format": _values((None, "text", "pbm"), ("gif",))},
+    "keystream": {**_RULE, **_RING, "--key": _values(("zero", "random", "01011"), ("0121", "", None)),
+                  "--cell": _values((None, "0", "4"), ("-1", "63", "64", "x")),
+                  "--length": _values(("1", "300"), ("-1", "0", "x", None)),
+                  "--burn-in": _values((None, "0", "70"), ("-1", "x")), "--stream-format": _FORMAT},
+    "encrypt": _XOR,
+    "decrypt": _XOR,
+    "spectrum": {"--rule": _RULE["--rule"], "--radius": _RULE["--radius"],
+                 "--order": _values((None, "1", "3"), ("-1", "0", "x"))},
+    "scan": {"--orders": _values((None, "1..3", "1,3", "2"), ("0", "9", "3..1", "2,2", "x", "")),
+             "--only": _values((None, "30", "30,45"), ("30,30", "300", "x", ""))},
+    "classify": {"--rule": _values(("0", "30", "255"), ("256", "-1", "x", None))},
+    "attack": {"--rule": _values((None, "30", "45"), ("90", "256", "x")), "--width": _RING["--width"],
+               "--sequence": _values(("00100", "1101", "11010000"), ("01", "0120", "", None)),
+               "--max-trials": _values((None, "1", "50"), ("-1", "0", "x")), "--seed": _RING["--seed"],
+               "--transcript": _values((None, "@t.txt"), ("@missing/t.txt",))},
+    "fips": {"--in": _FILES, "--stream-format": _FORMAT, "--bits": _BITS,
+             "--thresholds": _values((None,), ("@bad.conf", "@missing.conf"))},
+}
+
+
+def _stream_files(directory):
+    rng = random.Random(3)
+    for name, data in [("ks.txt", format(rng.getrandbits(20000), "020000b") + "\n"), ("zeros.txt", "0" * 20000),
+                       ("short.txt", "0101\n"),
+                       ("bad.txt", "01x1\n"), ("bad.conf", "monobit.min = x\n")]:
+        Path(directory, name).write_text(data)
+    Path(directory, "ks.bin").write_bytes(rng.randbytes(2500))
+    Path(directory, "empty.bin").write_bytes(b"")
+
+
+@pytest.mark.parametrize("command", list(_ARGV_FLAGS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_every_run_exits_with_a_documented_code_and_a_usage_error_writes_no_out(command, data):
+    flags = data.draw(st.fixed_dictionaries(_ARGV_FLAGS[command]), label="flags")
+    with tempfile.TemporaryDirectory() as tmp:
+        _stream_files(tmp)
+        out = Path(tmp, "out")
+        argv = [command]
+        for flag, value in flags.items():
+            if value is not None:
+                argv += [flag] if value is True else [flag, value.replace("@", tmp + os.sep)]
+        argv += ["--out", str(out)]
+        try:
+            code = main(argv)
+        except SystemExit as exit:  # argparse rejects the argv
+            code = exit.code
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_EXHAUSTED, EXIT_TEST_FAILED), argv
+        assert code != EXIT_USAGE or not out.exists(), argv

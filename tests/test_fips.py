@@ -1,12 +1,14 @@
 """Statistical battery: degenerate streams, closed-form cases, threshold plumbing."""
 import random
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from castream import fips
 from castream.cipher import KeystreamSpec, keystream
 from castream.cli import EXIT_USAGE, main
 from castream.engine import Configuration, rule_from_number
@@ -169,6 +171,12 @@ def test_custom_thresholds_are_used_and_reported():
 
 DEFAULT_CONF = resources.files("castream").joinpath("fips_thresholds.conf").read_text("utf-8")
 MONOBIT_MIN_LINE = DEFAULT_CONF.splitlines().index("monobit.min = 9725") + 1
+
+
+def test_the_default_thresholds_are_the_file_beside_the_module():
+    path = Path(fips.__file__).with_name("fips_thresholds.conf")
+    assert Thresholds.default() == Thresholds.from_file(str(path))
+    assert Thresholds.default().values == Thresholds.parse(DEFAULT_CONF).values
 
 
 def test_the_packaged_thresholds_parse_to_the_standard_values():

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from castream import cli
-from castream.cli import _spectrum_rows, main
-from castream.engine import rule_from_number
+from castream import spectrum
+from castream.cli import main
+from castream.engine import Configuration, rule_from_number, temporal_sequence
 from castream.spectrum import (
     BooleanFunction,
     WalshSpectrum,
+    _spectrum_rows,
     correlation_bias,
     correlation_immunity_order,
     is_balanced,
@@ -118,6 +119,26 @@ def test_iterate_rule_matches_window_simulation_on_random_rules(case):
     for x in range(1 << n):
         window = [(x >> (n - 1 - j)) & 1 for j in range(n)]
         assert f.truth_table[x] == simulate_window(rule, window, order)
+
+
+_rng = random.Random(5)
+RING_CASES = [
+    *((number, 1, t) for number in (30, 45, 90, 110, 150) for t in range(1, 6)),
+    *((_rng.randrange(256), 1, t) for _ in range(6) for t in range(1, 5)),
+    *((_rng.randrange(1 << 32), 2, t) for _ in range(6) for t in range(1, 3)),
+]
+
+
+@pytest.mark.parametrize("number, radius, t", RING_CASES)
+def test_iterate_rule_is_the_tap_bit_of_the_ring_at_time_t_over_every_key(number, radius, t):
+    # On a ring of 2rt + 1 cells the middle cell at time t depends on every cell once, with no wrap.
+    # Key x is the ring whose cells, read from cell 0, are the bits of x from the most significant:
+    # cell j is variable 2rt - j, so the leftmost window cell is the top bit, as in the rule tables.
+    rule, width = rule_from_number(number, radius), 2 * radius * t + 1
+    table = iterate_rule(rule, t).truth_table
+    taps = [temporal_sequence(Configuration.from_bits(format(x, f"0{width}b")), rule, radius * t, t + 1)[t]
+            for x in range(1 << width)]
+    assert taps == list(table)
 
 
 def test_iterate_rule_rejects_bad_order():
@@ -487,7 +508,7 @@ def test_spectrum_rows_match_per_row_formatting(rows, length, data, seed):
     values = values.astype(np.int32)
     expected = [f"{start + i},{value}\n".encode() for i, value in enumerate(values.tolist())]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "CSV_CHUNK_ROWS", rows)
+        patch.setattr(spectrum, "CSV_CHUNK_ROWS", rows)
         pieces = list(_spectrum_rows(start, values))
     assert pieces == [b"".join(expected[first : first + rows]) for first in range(0, length, rows)]
 
@@ -495,7 +516,7 @@ def test_spectrum_rows_match_per_row_formatting(rows, length, data, seed):
 def test_spectrum_rows_refill_a_short_last_piece(monkeypatch):
     # a piece of wide negative values, then a short piece of small positive ones: the sign and the high
     # groups are written again, and only the rows of the short piece are emitted
-    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4)
+    monkeypatch.setattr(spectrum, "CSV_CHUNK_ROWS", 4)
     values = np.array([-(1 << 24), -12_345_678, -10_000, -99_999, 5, 0], dtype=np.int32)
     rows = [f"{9_998 + i},{value}\n".encode() for i, value in enumerate(values.tolist())]
     assert list(_spectrum_rows(9_998, values)) == [b"".join(rows[:4]), b"".join(rows[4:])]
