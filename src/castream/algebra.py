@@ -79,7 +79,7 @@ class AffineDecomposition(_Record):
 
 def affine_decomposition(rule: Rule) -> AffineDecomposition:
     """Affine iff no monomial of the algebraic normal form has degree >= 2."""
-    anf = _anf(rule.truth_table)
+    anf = _anf(rule.number, rule.neighborhood_size)
     # ANF bit 0 is the constant and bit 2^v variable v; the leftmost neighbor is the highest v
     variables = [1 << v for v in reversed(range(rule.neighborhood_size))]
     if anf & ~sum(1 << x for x in [0, *variables]):

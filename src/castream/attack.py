@@ -67,7 +67,7 @@ class TrialsExhaustedError(RuntimeError):
 
 def is_left_permutive(rule: Rule) -> bool:
     """True iff f = a XOR g(rest): the leftmost variable occurs in the ANF only on its own."""
-    return _anf(rule.truth_table) >> (1 << (rule.neighborhood_size - 1)) == 1
+    return _anf(rule.number, rule.neighborhood_size) >> (1 << (rule.neighborhood_size - 1)) == 1
 
 
 def _require_attackable(rule: Rule) -> None:
@@ -81,7 +81,7 @@ def backward_step(rule: Rule, next_center: int, center: int, right: int) -> int:
     """The unique left neighbor consistent with a cell's observed transition."""
     _require_attackable(rule)
     _pack((next_center, center, right), "transition bits")
-    return next_center ^ rule.truth_table[(center << 1) | right]
+    return next_center ^ rule.number >> (center << 1 | right) & 1
 
 
 class PartialDiagram(_Record, frozen=False):
@@ -129,7 +129,7 @@ def forward_completion(rule: Rule, observed: Sequence[int], right_guess: Sequenc
     if len(right_guess) != n - 1:
         raise ValueError(f"right guess must contain {n - 1} bits, got {len(right_guess)}")
     column = _pack(observed, "observed bits")
-    kernel = _kernel(rule.truth_table)
+    kernel = _kernel(rule.number, rule.neighborhood_size)
     row = _pack(right_guess, "right guess bits") << 1 | column & 1
     rows = [row]
     for k in range(1, n):
@@ -150,7 +150,7 @@ def backward_completion(rule: Rule, diagram: PartialDiagram) -> Configuration:
     if diagram.rows is None:
         raise ValueError("right triangle is incomplete; run forward_completion first")
     n = diagram.width
-    kernel = _kernel(rule.truth_table)
+    kernel = _kernel(rule.number, rule.neighborhood_size)
     center = sum((row & 1) << k for k, row in enumerate(diagram.rows))
     right = sum((row >> 1 & 1) << k for k, row in enumerate(diagram.rows))
     columns = [center]

@@ -230,10 +230,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
 def cmd_fips(args: argparse.Namespace) -> int:
     from .bitio import _read_stream
     from .fips import SAMPLE_BITS, Thresholds, fips_battery
+    thresholds = Thresholds.from_file(args.thresholds) if args.thresholds else Thresholds.default()
     sample, count = _read_stream(args.infile, args.stream_format, args.bits, SAMPLE_BITS)
     if count < SAMPLE_BITS:
         raise ValueError(f"need at least {SAMPLE_BITS} bits, got {count}")
-    thresholds = Thresholds.from_file(args.thresholds) if args.thresholds else Thresholds.default()
     report = fips_battery(sample, thresholds)
     text = f"input.bits = {count}\ntested.bits = {SAMPLE_BITS}\n" + report.to_text()
     _emit(text, args.out)

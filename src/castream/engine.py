@@ -7,8 +7,8 @@ the most significant bit, is the rule's truth table.  Configurations live on
 a ring of N cells (indices wrap modulo N).  All operations are pure; every
 value is immutable once constructed.
 
-A configuration is held packed: the ring is one int with bit i = cell i,
-and its ``cells`` tuple is derived on demand.  Each rule's truth table is
+A configuration is held packed, as one int with bit i = cell i, and a rule
+as its number; ``cells`` and ``truth_table`` are derived.  Each rule's table is
 written as the smallest bitwise circuit that ``_circuit`` finds (rule 30 is
 ``x0 ^ (s | x2)``), and each generator, a rule or a per-cell assignment on
 one ring width, is compiled once into one loop of those circuits.  The loop
@@ -119,30 +119,27 @@ class _Record:
 
 
 class Rule(_Record):
-    """A local rule: truth table over the 2*radius+1 neighborhood.
+    """A local rule on the 2*radius+1 neighborhood, held as its Wolfram number.
 
-    ``truth_table[x]`` is the output for the neighborhood whose cells, read
-    left to right, are the bits of ``x`` from most to least significant.
+    Bit x of ``number``, which is ``truth_table[x]``, is the output for the neighborhood whose cells,
+    read left to right, are the bits of ``x`` from most to least significant.
     """
 
     radius: int
-    truth_table: tuple[int, ...]
+    number: int
 
-    def __post_init__(self) -> None:
-        if self.radius not in SUPPORTED_RADII:
-            raise ValueError(f"unsupported radius {self.radius}; must be one of {SUPPORTED_RADII}")
-        expected = 1 << (2 * self.radius + 1)
-        if len(self.truth_table) != expected:
-            raise ValueError(f"truth table must have {expected} entries for radius {self.radius}, "
-                             f"got {len(self.truth_table)}")
-        _pack(self.truth_table, "truth table entries")  # raises unless each entry is 0 or 1
-        if type(self.truth_table) is not tuple:  # a list or an array is unhashable, and rules are cache keys
-            _set(self, "truth_table", tuple(map(int, self.truth_table)))
+    def __init__(self, radius: int, truth_table: Sequence[int]) -> None:
+        if radius not in SUPPORTED_RADII:
+            raise ValueError(f"unsupported radius {radius}; must be one of {SUPPORTED_RADII}")
+        expected = 1 << (2 * radius + 1)
+        if len(truth_table) != expected:
+            raise ValueError(f"truth table must have {expected} entries for radius {radius}, got {len(truth_table)}")
+        _set(self, "radius", radius)
+        _set(self, "number", _pack(truth_table, "truth table entries"))  # raises unless each entry is 0 or 1
 
     @property
-    def number(self) -> int:
-        """Wolfram number: sum of truth_table[x] * 2**x."""
-        return _pack(self.truth_table, "truth table entries")
+    def truth_table(self) -> tuple[int, ...]:
+        return _unpack(self.number, 1 << self.neighborhood_size)
 
     @property
     def neighborhood_size(self) -> int:
@@ -152,10 +149,10 @@ class Rule(_Record):
     def from_number(cls, number: int, radius: int = 1) -> "Rule":
         if radius not in SUPPORTED_RADII:
             raise ValueError(f"unsupported radius {radius}; must be one of {SUPPORTED_RADII}")
-        table_size = 1 << (2 * radius + 1)
-        if not 0 <= number < (1 << table_size):
+        number = operator.index(number)
+        if not 0 <= number < 1 << (1 << 2 * radius + 1):
             raise ValueError(f"rule number {number} out of range for radius {radius}")
-        return cls._packed(radius, _unpack(number, table_size))
+        return cls._packed(radius, number)
 
     def apply(self, neighborhood: Sequence[int]) -> int:
         """Output bit for one neighborhood, leftmost cell most significant."""
@@ -166,7 +163,7 @@ class Rule(_Record):
         index = 0
         for bit in neighborhood:
             index = (index << 1) | (bit & 1)
-        return self.truth_table[index]
+        return self.number >> index & 1
 
     def __repr__(self) -> str:
         return f"Rule({self.number}, radius={self.radius})"
@@ -183,6 +180,10 @@ class RuleAssignment(_Record):
         radii = {rule.radius for rule in self.rules}
         if len(radii) != 1:
             raise ValueError(f"mixed radii in assignment: {sorted(radii)}")
+        _set(self, "_hash", hash(self.rules))  # once: each step looks its compiled loop up by this hash
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def radius(self) -> int:
@@ -308,19 +309,18 @@ def _window(width: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=1024)
-def _anf(truth_table: tuple[int, ...]) -> int:
-    """The algebraic normal form, packed: bit x is the coefficient of the product
-    of the variables set in x.  A Moebius transform, one masked shift-XOR per variable."""
-    anf = _pack(truth_table)
-    for variable, ones in enumerate(reversed(_window(len(truth_table).bit_length() - 1))):
-        anf ^= anf << (1 << variable) & ones
-    return anf
+def _anf(table: int, arity: int) -> int:
+    """The algebraic normal form of a packed table of ``arity`` variables, packed: bit x is the
+    coefficient of the product of the variables set in x.  A Moebius transform, one masked shift-XOR per variable."""
+    for variable, ones in enumerate(reversed(_window(arity))):
+        table ^= table << (1 << variable) & ones
+    return table
 
 
-def _circuit(truth_table: tuple[int, ...], operands: tuple[str, ...], one: str) -> str:
-    """The table as bitwise code of the operands, leftmost neighbor first, and ``one``, a mask of
+def _circuit(table: int, operands: tuple[str, ...], one: str) -> str:
+    """A packed table as bitwise code of the operands, leftmost neighbor first, and ``one``, a mask of
     ones: the smallest circuit that ``_cheapest`` finds.  Uncached: its callers cache what they compile."""
-    return _cheapest(_pack(truth_table), len(operands))[1].format(*operands, m=one)
+    return _cheapest(table, len(operands))[1].format(*operands, m=one)
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -367,12 +367,12 @@ def _wrapped(code: str) -> str:
 
 
 @functools.lru_cache(maxsize=1024)
-def _kernel(truth_table: tuple[int, ...]) -> Callable[..., int]:
-    """Compile a truth table into a function of one packed operand per neighbor, leftmost first,
-    and a mask ``m`` of ones: the table's ``_circuit``.  Bits outside the mask are undefined: each
-    caller masks the result or keeps its operands inside the mask."""
-    params = tuple("x%d" % j for j in range(len(truth_table).bit_length() - 1))
-    return eval("lambda %s, m: %s" % (", ".join(params), _circuit(truth_table, params, "m")))
+def _kernel(table: int, arity: int) -> Callable[..., int]:
+    """Compile a packed table of ``arity`` variables into a function of one packed operand per neighbor,
+    leftmost first, and a mask ``m`` of ones: the table's ``_circuit``.  Bits outside the mask are
+    undefined: each caller masks the result or keeps its operands inside the mask."""
+    params = tuple("x%d" % j for j in range(arity))
+    return eval("lambda %s, m: %s" % (", ".join(params), _circuit(table, params, "m")))
 
 
 _RUN = """\
@@ -402,7 +402,7 @@ def _loop(rule: RuleLike, width: int) -> Callable[[int, MutableSequence[int], in
     radius, needed = rule.radius, 2 * rule.radius + 1
     if width < needed:
         raise ValueError(f"ring width {width} too small for radius {radius} (need >= {needed})")
-    tables = [r.truth_table for r in getattr(rule, "rules", (rule,) * width)]
+    tables = [r.number for r in getattr(rule, "rules", (rule,) * width)]
     if len(tables) != width:
         raise ValueError(f"assignment has {len(tables)} rules but configuration has {width} cells")
     halo = min(width, HALO)

@@ -149,8 +149,8 @@ def _levels(rule: Rule, order: int) -> Iterator[list[int]]:
     width = 2 * rule.radius * order + 1
     if width > MAX_TRANSFORM_VARIABLES:
         raise ValueError(f"iterated function would need {width} variables (max {MAX_TRANSFORM_VARIABLES})")
-    state = _window(width)
-    kernel, mask, span = _kernel(rule.truth_table), (1 << (1 << width)) - 1, rule.neighborhood_size
+    span = rule.neighborhood_size
+    state, kernel, mask = _window(width), _kernel(rule.number, span), (1 << (1 << width)) - 1
     for _ in range(order):
         state = [kernel(*state[i : i + span], mask) for i in range(len(state) - span + 1)]
         yield state

@@ -543,6 +543,14 @@ def test_fips_checks_every_character_of_a_long_file(tmp_path, capsys):
     assert run(capsys, "fips", "--in", str(stream)) == (EXIT_USAGE, "", "error: invalid character '2' in bitstream text\n")
 
 
+def test_fips_reads_its_thresholds_before_its_input(tmp_path, capsys):
+    # a bad thresholds file is reported, naming its line, even where the input would fail to open
+    thresholds = tmp_path / "bad.conf"
+    thresholds.write_text("monobit.minimum = 9654\n")
+    code, out, err = run(capsys, "fips", "--in", str(tmp_path / "missing.txt"), "--thresholds", str(thresholds))
+    assert (code, out, err) == (EXIT_USAGE, "", "error: line 1: unknown key 'monobit.minimum'\n")
+
+
 def test_fips_reads_the_head_of_a_raw_file(tmp_path, capsys):
     bits = [random.Random(3).getrandbits(1) for _ in range(20_013)]
     ascii_path, raw_path = tmp_path / "ks.txt", tmp_path / "ks.bin"

@@ -1,6 +1,7 @@
 """Ring evolution against hand-checkable cases and a brute-force reference."""
 import dataclasses
 import dis
+import hashlib
 import random
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from castream import engine
+from castream.attack import backward_step
 from castream.cipher import KeystreamSpec, keystream
 from castream.engine import (
     Configuration,
@@ -114,49 +116,57 @@ def anf_test_rules():
 
 def test_anf_is_an_involution():
     for rule in anf_test_rules():
-        anf = _anf(rule.truth_table)
-        assert _anf(_unpack(anf, len(rule.truth_table))) == _pack(rule.truth_table), rule
+        anf = _anf(rule.number, rule.neighborhood_size)
+        assert _anf(anf, rule.neighborhood_size) == rule.number, rule
 
 
 def test_kernel_reproduces_the_truth_table_on_every_input():
     # rules 0 and 255 compile to the constants 0 and m
     for rule in anf_test_rules():
-        kernel, n = _kernel(rule.truth_table), rule.neighborhood_size
+        kernel, n = _kernel(rule.number, rule.neighborhood_size), rule.neighborhood_size
         for x, bit in enumerate(rule.truth_table):
             operands = [x >> (n - 1 - j) & 1 for j in range(n)]
             assert kernel(*operands, 1) & 1 == bit, (rule, x)
 
 
-def anf_operators(truth_table):
+def anf_operators(table, arity):
     """The operators of the algebraic normal form written out: an XOR between terms, an AND within one."""
-    anf = _anf(truth_table)
-    degrees = [bin(x).count("1") for x in range(len(truth_table)) if anf >> x & 1]
+    anf = _anf(table, arity)
+    degrees = [bin(x).count("1") for x in range(1 << arity) if anf >> x & 1]
     return max(len(degrees) - 1, 0) + sum(max(degree - 1, 0) for degree in degrees)
 
 
 def test_circuit_has_no_more_operators_than_the_anf_and_no_tilde():
     # a negative operand would make every later big-int operation slower, so negation is "one ^"
     for rule in anf_test_rules():
-        code = _circuit(rule.truth_table, tuple(f"x{j}" for j in range(rule.neighborhood_size)), "m")
+        code = _circuit(rule.number, tuple(f"x{j}" for j in range(rule.neighborhood_size)), "m")
         assert "~" not in code, (rule, code)
-        assert sum(map(code.count, "&|^")) <= anf_operators(rule.truth_table), (rule, code)
-    assert _circuit(rule_from_number(30).truth_table, ("a", "b", "c"), "one") == "a ^ (b | c)"
-    assert _circuit(rule_from_number(0).truth_table, ("a", "b", "c"), "one") == "0"
-    assert _circuit(rule_from_number(255).truth_table, ("a", "b", "c"), "one") == "one"
+        assert sum(map(code.count, "&|^")) <= anf_operators(rule.number, rule.neighborhood_size), (rule, code)
+    assert _circuit(30, ("a", "b", "c"), "one") == "a ^ (b | c)"
+    assert _circuit(0, ("a", "b", "c"), "one") == "0"
+    assert _circuit(255, ("a", "b", "c"), "one") == "one"
+
+
+def test_every_circuit_is_the_one_recorded_before_rules_were_held_as_numbers():
+    # the sha256 of every anf_test_rules() circuit, one a line, as the tuple-keyed compile layer emitted them
+    codes = [_circuit(rule.number, tuple(f"x{j}" for j in range(rule.neighborhood_size)), "m")
+             for rule in anf_test_rules()]
+    digest = hashlib.sha256("\n".join(codes).encode()).hexdigest()
+    assert (len(codes), digest) == (459, "21413bc570c41706f101164925d07ff54dd97c92738941e771da175135b3519a")
 
 
 def test_kernel_reproduces_the_whole_table_on_the_window_lanes():
     # the window's variables as tables: one call evaluates every input at once, with all-ones as the constant
     for rule in anf_test_rules():
-        n = len(rule.truth_table)
-        assert _kernel(rule.truth_table)(*_window(rule.neighborhood_size), (1 << n) - 1) == _pack(rule.truth_table)
+        kernel, n = _kernel(rule.number, rule.neighborhood_size), rule.neighborhood_size
+        assert kernel(*_window(n), (1 << (1 << n)) - 1) == rule.number, rule
 
 
 @pytest.mark.parametrize("number, radius", [(30, 1), (45, 1), (63, 1), (101, 1), (869020563, 2)])
 def test_compiled_kernels_and_ring_loops_never_invert(number, radius):
     rule = rule_from_number(number, radius)
     hybrid = RuleAssignment.cycle([rule, rule_from_number(number ^ 1, radius)], 65)
-    for function in (_kernel(rule.truth_table), _loop(rule, 64), _loop(hybrid, 65)):
+    for function in (_kernel(rule.number, rule.neighborhood_size), _loop(rule, 64), _loop(hybrid, 65)):
         assert all(instruction.opname != "UNARY_INVERT" for instruction in dis.get_instructions(function))
 
 
@@ -308,6 +318,33 @@ def test_a_rule_holds_its_table_as_a_tuple_of_ints():
     assert hash(rule) == hash(rule_from_number(30)) and rule == rule_from_number(30)
     assert step(Configuration((0, 1, 0, 1, 1)), rule).cells == reference_step((0, 1, 0, 1, 1), rule)
     assert Rule(1, (True,) + (False,) * 7).truth_table == (1,) + (0,) * 7
+    # True == 1 and numpy.int64(1) == 1, so only the types tell whether an entry was kept as given
+    table = (0, 1, 1, 1, 1, 0, 0, 0)
+    for entries in (tuple(map(bool, table)), tuple(map(np.int64, table))):
+        rule = Rule(1, entries)
+        assert rule == rule_from_number(30) and all(type(bit) is int for bit in rule.truth_table), entries
+        for x, bit in enumerate(table):
+            neighborhood = (x >> 2 & 1, x >> 1 & 1, x & 1)
+            applied, left = rule.apply(neighborhood), backward_step(rule, bit, x >> 1 & 1, x & 1)
+            assert (applied, type(applied), left, type(left)) == (bit, int, x >> 2 & 1, int), (entries, x)
+    assert type(Rule.from_number(np.int64(30)).number) is int
+
+
+def test_stepping_an_assignment_hashes_no_rule(monkeypatch):
+    # a step looks its compiled loop up by the assignment's hash, which is computed once, when it is built
+    assignment = RuleAssignment.cycle([rule_from_number(n) for n in (90, 105, 150, 165)], 4096)
+    calls = []
+
+    def counted_hash(rule):
+        calls.append(rule)
+        return hash((rule.radius, rule.number))
+
+    monkeypatch.setattr(Rule, "__hash__", counted_hash)
+    config = Configuration.single(4096)
+    for _ in range(100):
+        config = step(config, assignment)
+    assert not calls
+    assert config == evolve(Configuration.single(4096), assignment, 100).rows[-1]
 
 
 def test_step_rejects_too_narrow_ring():

@@ -162,7 +162,7 @@ def test_partial_diagram_stays_mutable():
 
 # (the value from its validated constructor, the field values that _packed takes, in order)
 PACKED = {
-    "Rule": (R30, (1, RULE_30)),
+    "Rule": (R30, (1, 30)),
     "Configuration": (C011, (0b110, 3)),  # bit i of the state is cell i
     "BooleanFunction": (BooleanFunction((0, 1, 1, 0)), (0b0110, 2)),
 }
