@@ -180,10 +180,6 @@ class RuleAssignment(_Record):
         radii = {rule.radius for rule in self.rules}
         if len(radii) != 1:
             raise ValueError(f"mixed radii in assignment: {sorted(radii)}")
-        _set(self, "_hash", hash(self.rules))  # once: each step looks its compiled loop up by this hash
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def radius(self) -> int:

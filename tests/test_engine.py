@@ -330,23 +330,6 @@ def test_a_rule_holds_its_table_as_a_tuple_of_ints():
     assert type(Rule.from_number(np.int64(30)).number) is int
 
 
-def test_stepping_an_assignment_hashes_no_rule(monkeypatch):
-    # a step looks its compiled loop up by the assignment's hash, which is computed once, when it is built
-    assignment = RuleAssignment.cycle([rule_from_number(n) for n in (90, 105, 150, 165)], 4096)
-    calls = []
-
-    def counted_hash(rule):
-        calls.append(rule)
-        return hash((rule.radius, rule.number))
-
-    monkeypatch.setattr(Rule, "__hash__", counted_hash)
-    config = Configuration.single(4096)
-    for _ in range(100):
-        config = step(config, assignment)
-    assert not calls
-    assert config == evolve(Configuration.single(4096), assignment, 100).rows[-1]
-
-
 def test_step_rejects_too_narrow_ring():
     with pytest.raises(ValueError):
         step(Configuration((0, 1)), rule_from_number(30))

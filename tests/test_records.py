@@ -165,6 +165,7 @@ PACKED = {
     "Rule": (R30, (1, 30)),
     "Configuration": (C011, (0b110, 3)),  # bit i of the state is cell i
     "BooleanFunction": (BooleanFunction((0, 1, 1, 0)), (0b0110, 2)),
+    "RuleAssignment": (RuleAssignment((R30, R90)), ((R30, R90),)),  # _loop's cache is keyed on its hash
 }
 
 
