@@ -129,6 +129,7 @@ class Rule(_Record):
     number: int
 
     def __init__(self, radius: int, truth_table: Sequence[int]) -> None:
+        radius = operator.index(radius)
         if radius not in SUPPORTED_RADII:
             raise ValueError(f"unsupported radius {radius}; must be one of {SUPPORTED_RADII}")
         expected = 1 << (2 * radius + 1)
@@ -147,6 +148,7 @@ class Rule(_Record):
 
     @classmethod
     def from_number(cls, number: int, radius: int = 1) -> "Rule":
+        radius = operator.index(radius)
         if radius not in SUPPORTED_RADII:
             raise ValueError(f"unsupported radius {radius}; must be one of {SUPPORTED_RADII}")
         number = operator.index(number)

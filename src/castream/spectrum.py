@@ -17,12 +17,13 @@ A function is held as its packed truth table, one 2^n-bit int.  A single
 spectral value needs no transform: ``W(omega) = |F| - 2 |F and <x, omega>|``
 is two popcounts, which is how balancedness, the min-max scores and the
 bias are computed, with no numpy.  The full spectrum is one butterfly over
-a numpy int32 array of 2^n entries, whose first three levels are a lookup of
-each byte of the packed table; numpy is imported only where that array is
+2^n entries: a lookup of each byte of the packed table for its first three
+levels, int16 blocks of 2^18 entries up to level 2^14, and the numpy int32
+array that holds the result above; numpy is imported only where that array is
 made, read or written as the CLI ``spectrum`` command's CSV (``_spectrum_rows``).
 ``MAX_TRANSFORM_VARIABLES`` caps it at 2^24 entries (64 MB); the largest
 function ``iterate_rule`` reaches has 23 variables (rule 30 at order 11),
-where that command peaks at 87 MB of RSS.
+where that command peaks at 88 MB of RSS.
 
 ``scan_rules`` does each piece of work once.  A rule is balanced when four
 of the eight bits of its number are set.  Conjugation keeps affinity and
@@ -62,7 +63,7 @@ __all__ = [
 ]
 
 MAX_TRANSFORM_VARIABLES = 24
-assert 1 << MAX_TRANSFORM_VARIABLES < 10**8  # so the CSV writes every omega and |W| as two 4-digit groups
+assert 1 << MAX_TRANSFORM_VARIABLES < 10**8  # so the CSV writes every omega and |W| in 8 digit places
 MAX_ITERATION_ORDER = 8
 CSV_CHUNK_ROWS = 1 << 13  # spectrum rows a piece, so that its scratch arrays (0.5 MB) and bytes stay in L2 cache
 
@@ -157,14 +158,20 @@ def _levels(rule: Rule, order: int) -> Iterator[list[int]]:
 
 
 def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
-    """Exact int32 spectrum (|W| <= 2^24) via the in-place butterfly, its first 3 levels a byte lookup."""
+    """Exact int32 spectrum (|W| <= 2^24) via the in-place butterfly, its first 3 levels a byte lookup and the
+    levels below 2^14 in int16 (partial sums in [-2^13, 2^14]) on blocks of 2^18 entries, each copied to the result."""
     if f.n > MAX_TRANSFORM_VARIABLES:
         raise ValueError(f"function has {f.n} variables (max {MAX_TRANSFORM_VARIABLES})")
     import numpy as np
     size = 1 << f.n
     packed = np.frombuffer(f._table.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
     # a table of fewer than 8 entries is zero past them, so its spectrum is the head of the 8-point one
-    return WalshSpectrum(_butterfly(_byte_spectra()[packed].ravel()[:size], 8, size))
+    result, block = np.empty(max(size, 8), dtype=np.int32), np.empty((min(len(packed), 1 << 15), 8), dtype=np.int16)
+    for first in range(0, len(packed), len(block)):
+        # mode="clip" takes straight into out (the default mode buffers it); every byte is in range
+        spectra = _byte_spectra().take(packed[first : first + len(block)], axis=0, out=block, mode="clip")
+        result[8 * first : 8 * first + spectra.size] = _butterfly(spectra.ravel(), 8, min(size, 1 << 14))
+    return WalshSpectrum(_butterfly(result, 1 << 14, size)[:size])
 
 
 def _butterfly(a: np.ndarray, h: int, stop: int) -> np.ndarray:
@@ -181,9 +188,9 @@ def _butterfly(a: np.ndarray, h: int, stop: int) -> np.ndarray:
 
 @cache
 def _byte_spectra() -> np.ndarray:
-    """Row b: the int32 spectrum of the 8 entries packed in byte b, entry j = bit j."""
+    """Row b: the int16 spectrum of the 8 entries packed in byte b, entry j = bit j."""
     import numpy as np
-    entries = np.unpackbits(np.arange(256, dtype=np.uint8), bitorder="little").astype(np.int32)
+    entries = np.unpackbits(np.arange(256, dtype=np.uint8), bitorder="little").astype(np.int16)
     return _butterfly(entries, 1, 8).reshape(256, 8)
 
 
@@ -390,40 +397,40 @@ def scan_report_csv(report: ScanReport, only: Iterable[int] | None = None) -> st
 
 
 @cache
-def _digit_groups() -> np.ndarray:
-    """Each number x below 10^4 in decimal as one 4-byte word (uint32): entry x with its
-    leading zeros as byte 0 (0 itself is "0"), entry 10^4 + x zero-padded."""
+def _digit_groups() -> tuple[np.ndarray, np.ndarray]:
+    """Tables ``(highs, lows)``: ``highs[v // 10^4] | lows[v % 10^4]`` (uint64) is v < 10^8 in 8 digit places.
+    ``lows`` has v % 10^4 in bytes 4-7, leading zeros as zero bytes (0 is "0"); ``highs`` has v // 10^4 so in bytes
+    0-3 (none for 0) and "0" in bytes 4-7, which pads the low group, as each digit byte holds the bits of "0"."""
     import numpy as np
     # uint16, as int64 temporaries would add about 1 MB to the peak RSS of a small spectrum
     numbers, powers = np.arange(10**4, dtype=np.uint16)[:, None], np.array([1000, 100, 10, 1], dtype=np.uint16)
-    padded = (numbers // powers % 10 + ord("0")).astype(np.uint8)
-    loose = padded * ((numbers >= powers) | (powers == 1))  # the last digit stays, so 0 is "0"
-    return np.concatenate((loose, padded)).view(np.uint32).ravel()
+    digits = (numbers // powers % 10 + ord("0")).astype(np.uint8)
+    loose = digits * ((numbers >= powers) | (powers == 1))  # the last digit stays, so 0 is "0"
+    high, low = np.hstack((loose, np.full_like(loose, ord("0")))), np.hstack((np.zeros_like(loose), loose))
+    high[0] = 0  # 0 has no high group
+    return high.view(np.uint64).ravel(), low.view(np.uint64).ravel()
 
 
 def _spectrum_rows(start: int, values: np.ndarray) -> Iterator[bytes]:
     """The CSV lines ``omega,value`` of ``values`` at omega = start, start + 1, ..., in pieces of ``CSV_CHUNK_ROWS``
-    rows: each row is six uint32 words, omega's two 4-digit groups, "," or ",-", |value|'s two and "\\n", less
-    every zero byte. Each piece refills the same words and work arrays through ``out=``, and allocates only its bytes."""
+    rows: each row is 19 bytes, omega's 8 digit places, ",", "-" or a zero byte, |value|'s 8 and "\\n", less every
+    zero byte. Each piece refills the same rows and work arrays through ``out=``, and allocates only its bytes."""
     import numpy as np
-    groups = _digit_groups()
+    highs, lows = _digit_groups()
     size = min(CSV_CHUNK_ROWS, len(values))
-    omega = np.arange(start, start + size, dtype=np.intp)
-    scratch = (np.empty((size, 6), dtype=np.uint32), *(np.empty(size, dtype=np.intp) for _ in range(3)),
-               np.empty(size, dtype=np.uint32), np.empty(size, dtype=bool))
-    comma, minus, newline = np.frombuffer(b",\0\0\0,-\0\0\n\0\0\0", dtype=np.uint32)
-    scratch[0][:, 5] = newline
+    omega = np.arange(start, start + size, dtype=np.uint32)
+    types = (np.int32, np.uint32, np.uint32, np.uint64, np.uint64)  # |value|, its two groups, their two words
+    scratch = (np.empty((size, 19), dtype=np.uint8), *(np.empty(size, dtype=t) for t in types))
+    scratch[0][:, 8], scratch[0][:, 18] = ord(","), ord("\n")
     for first in range(0, len(values), CSV_CHUNK_ROWS):
         piece = values[first : first + CSV_CHUNK_ROWS]
-        words, magnitude, high, low, group, flag = (array[: len(piece)] for array in scratch)
-        for column, number in ((0, omega[: len(piece)]), (3, np.abs(piece, out=magnitude))):
-            np.divmod(number, 10**4, out=(high, low))
-            np.greater(high, 0, out=flag)  # the number has digits in its high group, so its low group is zero-padded
-            np.add(low, 10**4, out=low, where=flag)
+        rows, magnitude, high, low, word, low_word = (array[: len(piece)] for array in scratch)
+        for column, number in ((0, omega[: len(piece)]), (10, np.abs(piece, out=magnitude).view(np.uint32))):
+            np.floor_divide(number, 10**4, out=high)
+            np.subtract(number, np.multiply(high, 10**4, out=low), out=low)
             # mode="clip" takes straight into out (the default mode buffers it); every index is in range
-            np.multiply(groups.take(high, out=group, mode="clip"), flag, out=words[:, column])
-            np.copyto(words[:, column + 1], groups.take(low, out=group, mode="clip"))
-        np.copyto(words[:, 2], comma)
-        np.copyto(words[:, 2], minus, where=np.less(piece, 0, out=flag))
-        yield words.tobytes().translate(None, b"\0")
+            np.bitwise_or(highs.take(high, out=word, mode="clip"), lows.take(low, out=low_word, mode="clip"),
+                          out=rows[:, column : column + 8].view(np.uint64)[:, 0])
+        np.multiply(np.less(piece, 0, out=rows[:, 9]), ord("-"), out=rows[:, 9])
+        yield rows.tobytes().translate(None, b"\0")
         omega += CSV_CHUNK_ROWS

@@ -330,6 +330,31 @@ def test_a_rule_holds_its_table_as_a_tuple_of_ints():
     assert type(Rule.from_number(np.int64(30)).number) is int
 
 
+def test_a_rule_holds_its_radius_as_an_int():
+    # True == 1 and numpy.int64(1) == 1, so only the types (and repr) tell whether the radius was kept as given
+    table = (0, 1, 1, 1, 1, 0, 0, 0)
+    rules = (Rule(np.int64(1), table), Rule(True, table), Rule.from_number(30, np.int64(1)), Rule.from_number(30, True))
+    for rule in rules:
+        assert type(rule.radius) is int and rule == rule_from_number(30) and repr(rule) == "Rule(30, radius=1)", rule
+    assert type(Rule.from_number(869020563, np.int64(2)).radius) is int
+    with pytest.raises(TypeError):
+        Rule.from_number(30, 1.0)
+
+
+def test_each_window_cell_is_its_variable():
+    # cell c is variable k = width - 1 - c: bit x of its table is bit k of x
+    for width in range(1, 13):
+        window = _window(width)
+        assert len(window) == width
+        for c, cell in enumerate(window):
+            k = width - 1 - c
+            assert cell == sum(1 << x for x in range(1 << width) if x >> k & 1), (width, k)
+    rng = random.Random(21)
+    window = _window(21)
+    for x in rng.sample(range(1 << 21), 2_000) + [0, (1 << 21) - 1]:
+        assert [cell >> x & 1 for cell in window] == [x >> k & 1 for k in reversed(range(21))], x
+
+
 def test_step_rejects_too_narrow_ring():
     with pytest.raises(ValueError):
         step(Configuration((0, 1)), rule_from_number(30))

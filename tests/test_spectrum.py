@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from castream import spectrum
 from castream.cli import main
-from castream.engine import Configuration, rule_from_number, temporal_sequence
+from castream.engine import Configuration, _window, rule_from_number, temporal_sequence
 from castream.spectrum import (
     BooleanFunction,
     WalshSpectrum,
     _spectrum_rows,
+    _walsh_value,
     correlation_bias,
     correlation_immunity_order,
     is_balanced,
@@ -533,6 +534,45 @@ def test_int32_spectrum_is_exact_at_24_variables():
     del ones
     x0 = walsh_transform(BooleanFunction._packed(int.from_bytes(b"\xaa" * (1 << (n - 3)), "little"), n))  # F = x_0
     assert (x0.array[0], x0.array[1]) == (1 << (n - 1), -(1 << (n - 1))) and not x0.array[2:].any()
+
+
+@pytest.mark.parametrize("n", [14, 15])
+def test_transform_is_exact_where_its_int16_levels_end(n):
+    # the int16 levels end below 2^14: there the all-ones table sums each 2^14-entry block to 2^14, and a linear
+    # function (or its complement) whose mask spans the low 14 variables reaches -2^13 (or +2^13)
+    size, full = 1 << n, (1 << (1 << n)) - 1
+    expected = np.zeros(size, dtype=np.int32)
+    expected[0] = size
+    assert np.array_equal(walsh_transform(BooleanFunction._packed(full, n)).array, expected)
+    window = _window(n)
+    for mask in ((1 << n) - 1, (1 << 14) - 1, 1 << 13, 1 << (n - 1)):
+        linear = 0
+        for k in range(n):
+            if mask >> k & 1:
+                linear ^= window[n - 1 - k]
+        for table, sign in ((linear, -1), (full ^ linear, 1)):
+            expected[:] = 0
+            expected[0], expected[mask] = size // 2, sign * size // 2
+            assert np.array_equal(walsh_transform(BooleanFunction._packed(table, n)).array, expected), (mask, sign)
+
+
+@given(n=st.sampled_from([13, 14, 15, 19]), seed=st.integers(0, 2**32 - 1), bias=st.integers(-3, 3), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_transform_matches_single_values_across_its_seams(n, seed, bias, data):
+    # n = 19 spans two int16 blocks of 2^18 entries; a biased table (ones at density 2^-(|bias| + 1), complemented
+    # when bias < 0) moves the partial sums toward the int16 limits
+    rng = random.Random(seed)
+    table = rng.getrandbits(1 << n)
+    for _ in range(abs(bias)):
+        table &= rng.getrandbits(1 << n)
+    if bias < 0:
+        table ^= (1 << (1 << n)) - 1
+    f = BooleanFunction._packed(table, n)
+    values = walsh_transform(f).array
+    seams = [0, 1, (1 << 13) - 1, 1 << 13, (1 << 14) - 1, 1 << 14, (1 << 18) - 1, 1 << 18, (1 << n) - 1]
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12), label="masks")
+    for omega in masks + [m for m in seams if m < 1 << n]:
+        assert values[omega] == _walsh_value(f, omega), omega
 
 
 def first_difference(text, expected):
