@@ -98,12 +98,9 @@ class PartialDiagram(_Record, frozen=False):
     rows: Optional[tuple[int, ...]]
     columns: Optional[tuple[int, ...]]
 
-    def __init__(self, width: int, rows: Optional[tuple[int, ...]], columns: Optional[tuple[int, ...]]) -> None:
-        self.width, self.rows, self.columns = width, rows, columns  # one a trial: not the generic init
-
     @classmethod
     def blank(cls, width: int) -> "PartialDiagram":
-        return cls(width, None, None)
+        return cls._packed(width, None, None)
 
     def value(self, time: int, offset: int) -> Optional[int]:
         if not 0 <= time < self.width:
@@ -136,7 +133,7 @@ def forward_completion(rule: Rule, observed: Sequence[int], right_guess: Sequenc
         inner = (1 << (n - k)) - 2
         row = kernel(row << 1, row, row >> 1, inner) & inner | column >> k & 1
         rows.append(row)
-    return PartialDiagram(n, tuple(rows), None)
+    return PartialDiagram._packed(n, tuple(rows), None)
 
 
 def backward_completion(rule: Rule, diagram: PartialDiagram) -> Configuration:

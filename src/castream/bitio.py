@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from typing import Iterable, Iterator, Sequence
 
-from .engine import _TO_CELLS, _TO_DIGITS, SpaceTimeDiagram, _pack
+from .engine import _TO_CELLS, _TO_DIGITS, SpaceTimeDiagram, _digits, _pack
 
 __all__ = [
     "parse_bits",
@@ -44,19 +44,13 @@ def _parsed(text: str) -> bytes:
 
 
 def format_bits(bits: Bits) -> str:
-    return format(_pack(bits), f"0{len(bits)}b")[::-1][: len(bits)] + "\n"  # width 0 formats as "0"
+    return _digits(_pack(bits), len(bits)) + "\n"
 
 
 def pack_bits(bits: Bits) -> bytes:
     """Pack MSB-first; the final byte is zero-padded."""
     size = (len(bits) + 7) // 8
-    if not size:
-        return b""
-    try:  # an entry other than 0 or 1 fails bytes() or, as the digit "2", int(): no pass of its own
-        value = int(bytes(bits).translate(_TO_DIGITS), 2)
-    except (TypeError, ValueError):
-        raise ValueError("bits must be 0 or 1") from None
-    return (value << (8 * size - len(bits))).to_bytes(size, "big")
+    return (_pack(bits[::-1]) << (8 * size - len(bits))).to_bytes(size, "big")
 
 
 def _encoded(chunks: Iterable[bytes], fmt: str) -> Iterator[bytes]:
@@ -126,9 +120,9 @@ def _diagram(chunks: Iterable[Sequence[int]], width: int, height: int, fmt: str)
     spaces, each ending in a newline, whose even offsets take the cells' digits in one assignment."""
     if fmt == "pbm":
         yield f"P1\n{width} {height}\n".encode()
-    spec, pixel_row = f"0{width}b", b" " * (2 * width - 1) + b"\n"
+    pixel_row = b" " * (2 * width - 1) + b"\n"
     for states in chunks:
-        rows = [format(state, spec)[::-1] for state in states]
+        rows = [_digits(state, width) for state in states]
         if fmt == "pbm":
             chunk = bytearray(pixel_row * len(rows))
             chunk[0::2] = "".join(rows).encode()

@@ -209,7 +209,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     with open(path, "w", encoding="ascii", newline="") if path else nullcontext() as transcript:
 
         def trace(trial: int, guess: tuple[int, ...], key: Configuration, matched: bool) -> None:
-            transcript.write(f"trial {trial} guess {''.join(map(str, guess))} key {key} match {int(matched)}\n")
+            transcript.write(f"trial {trial} guess {bitio.format_bits(guess)[:-1]} key {key} match {int(matched)}\n")
 
         try:
             result = attack(rule, observed, max_trials=max_trials, seed=args.seed, trace=trace if path else None)

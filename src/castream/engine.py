@@ -18,8 +18,9 @@ and it copies the halo again only when the steps have spent it.  Before
 each step it writes ``state >> shift & pick``: a tap cell's bit as a 0/1
 byte, which leave in chunks of ``TAP_CHUNK`` so that a keystream is written
 as it is made, or a whole row, in chunks of about ``STATE_CHUNK`` cells.
-Rows that ``step`` and ``evolve`` make are not re-validated: ``_pack``, or
-the ``_TO_DIGITS`` table that it parses through, checks that bits are 0 or 1.
+A caller's bits are packed by ``_pack``, the one check that they are 0 or 1,
+and a packed state is written as ``0``/``1`` text, cell 0 first, by
+``_digits``; rows that ``step`` and ``evolve`` make are not re-validated.
 
 Every value class of the package derives from ``_Record``, which gives it
 the construction, comparison, hashing and printing of a frozen dataclass
@@ -243,7 +244,7 @@ class Configuration(_Record):
         return cls._packed(_pack([rng.getrandbits(1) for _ in range(width)]), width)
 
     def __str__(self) -> str:
-        return format(self._state, f"0{self.width}b")[::-1]
+        return _digits(self._state, self.width)
 
     def __repr__(self) -> str:
         return f"Configuration(cells={self.cells!r})"
@@ -434,9 +435,13 @@ def _pack(bits: Sequence[int], what: str = "bits") -> int:
         raise ValueError(f"{what} must be 0 or 1") from None
 
 
+def _digits(state: int, width: int) -> str:
+    """The cells of a packed state as '0'/'1' text, cell 0 first."""
+    return format(state, f"0{width}b")[::-1][:width]  # width 0 formats as "0"
+
+
 def _unpack(state: int, width: int) -> tuple[int, ...]:
-    digits = format(state, f"0{width}b")[::-1][:width]  # width 0 formats as "0"
-    return tuple(digits.encode().translate(_TO_CELLS))
+    return tuple(_digits(state, width).encode().translate(_TO_CELLS))
 
 
 def _states(config: Configuration, rule: RuleLike, steps: int) -> Iterator[list[int]]:
@@ -490,7 +495,7 @@ step_nonuniform = step
 def evolve(config: Configuration, rule: RuleLike, steps: int) -> SpaceTimeDiagram:
     """Evolve for ``steps`` steps; rows[0] is the initial configuration."""
     chunks = _states(config, rule, steps)
-    return SpaceTimeDiagram(tuple(Configuration._packed(s, config.width) for rows in chunks for s in rows))
+    return SpaceTimeDiagram._packed(tuple(Configuration._packed(s, config.width) for rows in chunks for s in rows))
 
 
 def temporal_sequence(config: Configuration, rule: RuleLike, cell: int, length: int) -> tuple[int, ...]:

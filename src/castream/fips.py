@@ -4,15 +4,15 @@ Four tests run on a fixed-size sample: monobit (ones count), poker
 (chi-square-like statistic over 4-bit nibbles), runs (counts of maximal
 runs by length, both bit values), and long run (no run of 26 or more).
 The battery is one pass and needs no numpy: ``fips_battery`` checks a sample
-with ``engine._pack``, writes it once as ASCII ``0``/``1`` bytes, and counts
-their ones, their hex digits (nibbles) and, once for runs and long run, their
-maximal runs.  ``monobit``, ``poker``, ``runs`` and ``long_run`` return its
-entries.  Thresholds are configuration data loaded from a
-``test.parameter = value`` file, not constants baked into the test logic; the
-defaults come from the standard (see ``fips_thresholds.conf``).  A file must
-give each required key once, as a number: an unknown or repeated key, NaN or
-a value that is no number is an error that names the line, and +-inf switches
-a bound off.
+with ``engine._pack``, writes it once as ASCII ``0``/``1`` bytes with
+``engine._digits``, and counts their ones, their hex digits (nibbles) and,
+once for runs and long run, their maximal runs.  ``monobit``, ``poker``,
+``runs`` and ``long_run`` return its entries.  Thresholds are configuration
+data loaded from a ``test.parameter = value`` file, not constants baked into
+the test logic; the defaults come from the standard (see
+``fips_thresholds.conf``).  A file must give each required key once, as a
+number: an unknown or repeated key, NaN or a value that is no number is an
+error that names the line, and +-inf switches a bound off.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import os
 from collections import Counter
 from typing import Mapping, Sequence
 
-from .engine import _pack, _Record
+from .engine import _digits, _pack, _Record
 
 __all__ = [
     "SAMPLE_BITS",
@@ -124,7 +124,7 @@ def _as_sample(stream: Sequence[int]) -> bytes:
     """The sample as 20000 ASCII ``0``/``1`` bytes, after checking its length and entries."""
     if len(stream) != SAMPLE_BITS:
         raise ValueError(f"stream must contain exactly {SAMPLE_BITS} bits, got {len(stream)}")
-    return format(_pack(stream, "stream entries"), f"0{SAMPLE_BITS}b")[::-1].encode()
+    return _digits(_pack(stream, "stream entries"), SAMPLE_BITS).encode()
 
 
 def _strictly_inside(name: str, statistic: str, value: float, t: Thresholds) -> TestResult:

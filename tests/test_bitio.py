@@ -2,6 +2,7 @@
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +81,16 @@ def test_writers_take_booleans_as_bits():
     assert format_bits((True, False)) == "10\n"
     assert pack_bits((True, False)) == b"\x80"
     assert format_bits(()) == "\n"
+
+
+# an array is read by its values, not through its buffer, which holds eight bytes an int64 bit
+@pytest.mark.parametrize("bits", [*(tuple(map(int, "10110011100011110"[:n])) for n in (1, 7, 8, 9, 17)),
+                                  (0,) * 7 + (1,)])
+@pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.uint8])
+def test_writers_read_an_array_like_its_tuple(dtype, bits):
+    array = np.array(bits, dtype=dtype)
+    assert pack_bits(array) == pack_bits(bits) == reference_pack(bits)
+    assert format_bits(array) == format_bits(bits)
 
 
 def test_unpack_rejects_overlong_count():

@@ -618,8 +618,21 @@ _KEY = ("--width", "64", "--key", "random", "--seed", "7", "--length", "5000")
 _RULES_30_86_101 = ("--rules", "30,86,101")
 _RADIUS_2 = ("--rule", "869020563", "--radius", "2")
 
-# The compatibility contract: exit code and sha256 of stdout (plus the --transcript file,
-# where one is written) for each group of commands, recorded with the sum-of-products kernel.
+
+def _xor_group(ext, key_length, *flags):
+    """Write a 5000-bit plaintext and a rule-30 key of ``key_length`` bits to {dir}, encrypt the one
+    with the other to stdout and to {dir}/ct, then decrypt that file to stdout."""
+    fmt = ("--stream-format", "raw") if ext == "bin" else ()
+    pt, key, ct = (f"{{dir}}/{name}.{ext}" for name in ("pt", "key", "ct"))
+    encrypt = ["encrypt", "--in", pt, "--key", key, *fmt, *flags]
+    return [["keystream", *_RADIUS_2, *_KEY, *fmt, "--out", pt],
+            ["keystream", "--rule", "30", *_KEY[:-1], str(key_length), *fmt, "--out", key],
+            encrypt, [*encrypt, "--out", ct], ["decrypt", "--in", ct, "--key", key, *fmt, *flags]]
+
+
+# The compatibility contract: the exit code of each group's last command (the others exit 0) and
+# the sha256 of stdout (plus the --transcript file, where one is written) for each group of
+# commands, recorded with the sum-of-products kernel; a group writes its input files to {dir}.
 PINNED_OUTPUTS = [
     ([["keystream", "--rule", "30", *_KEY]], EXIT_OK,
      "c11133e021df8daf30ea16d4729d3c7137f0984190425cc9543e5db1530b8363"),
@@ -650,6 +663,16 @@ PINNED_OUTPUTS = [
      "f37d3e9f4339ce58d59c36da60099bd85e23441362d293bd92c77b2c289e778e"),
     ([["attack", "--seed", "1", "--sequence", "00100", "--max-trials", "1", "--transcript", "{transcript}"]],
      EXIT_EXHAUSTED, "e39dd21e4784eac174f0a4ef3b44d4df3d51f54c246fdcba1f1da3e8d8d16075"),
+    # recorded from the codec whose pack_bits checked its bits in a parse of its own; the raw group
+    # cycles a 3001-bit key over the 5000-bit message
+    (_xor_group("txt", 5000), EXIT_OK, "3328b0372e174267d21442bebfae62a8f721668eaf331621d02b27dbb863a123"),
+    (_xor_group("bin", 3001, "--bits", "5000", "--key-bits", "3001", "--allow-key-reuse"), EXIT_OK,
+     "723be75f271225f6e0b42cec8c6f6ce24d6100e04be4bdab0dddd94ebba3f1a3"),
+    ([["keystream", "--rule", "30", *_KEY[:-1], "20000", "--out", "{dir}/ks.txt"], ["fips", "--in", "{dir}/ks.txt"]],
+     EXIT_OK, "1d8a13c984b380361752415e3a43b1a2e526cc44de39010e707e48f7fbc90692"),
+    ([["keystream", "--rule", "30", "--width", "64", "--key", "zero", "--length", "20000", "--out", "{dir}/zeros.txt"],
+      ["fips", "--in", "{dir}/zeros.txt"]], EXIT_TEST_FAILED,
+     "10c94feb09b65bd03159d06a0c3e48537981235b8ec15cf1a163df2c879dc8d2"),
 ]
 
 
@@ -658,9 +681,10 @@ def test_cli_output_is_pinned(capsysbinary, tmp_path):
     for commands, code, digest in PINNED_OUTPUTS:
         data = hashlib.sha256()
         for argv in commands:
-            argv = [arg.format(transcript=transcript) for arg in argv]
+            expected = code if argv is commands[-1] else EXIT_OK  # a group's earlier commands write its inputs
+            argv = [arg.format(transcript=transcript, dir=tmp_path) for arg in argv]
             transcript.unlink(missing_ok=True)
-            assert main(argv) == code, argv
+            assert main(argv) == expected, argv
             data.update(capsysbinary.readouterr().out)
             if "--transcript" in argv:
                 data.update(transcript.read_bytes())
