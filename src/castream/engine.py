@@ -437,7 +437,7 @@ def _pack(bits: Sequence[int], what: str = "bits") -> int:
 
 def _digits(state: int, width: int) -> str:
     """The cells of a packed state as '0'/'1' text, cell 0 first."""
-    return format(state, f"0{width}b")[::-1][:width]  # width 0 formats as "0"
+    return format(state, f"0{width}b")[::-1] if width else ""  # width 0 would format as "0"
 
 
 def _unpack(state: int, width: int) -> tuple[int, ...]:
