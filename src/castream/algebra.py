@@ -13,7 +13,7 @@ though they are not linear in the strict constant-free sense.
 """
 from __future__ import annotations
 
-from .engine import Rule, _anf, _Record
+from .engine import Rule, _anf, _digits, _Record
 
 __all__ = [
     "AffineDecomposition",
@@ -49,7 +49,7 @@ def conjugate_reflect(rule: Rule) -> Rule:
 
 def _conjugate(number: int) -> int:
     """The conjugate's rule number: bit x is NOT bit 7 - x (NOT x is 7 - x on three bits)."""
-    return int(f"{number:08b}"[::-1], 2) ^ 0xFF
+    return int(_digits(number, 8), 2) ^ 0xFF
 
 
 def _reflect(number: int) -> int:

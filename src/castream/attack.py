@@ -1,8 +1,8 @@
 """Known-plaintext key recovery against left-permutive ring generators.
 
 A rule is *left-permutive* when flipping the leftmost neighborhood cell
-always flips the output, i.e. it has the form ``f(a, b, c) = a XOR g(b, c)``:
-in its algebraic normal form ``a`` occurs only as a monomial of its own.
+always flips the output, ``f(1, b, c) = NOT f(0, b, c)``: in its algebraic
+normal form ``a`` occurs only as a monomial of its own.
 Rule 30 is the canonical example.  For such rules the left neighbor is
 recoverable from the cell's own transition, which turns N observed tap
 values into the whole space-time triangle once a single adjacent column is
@@ -13,16 +13,16 @@ guessed:
   guess is consistent, because the cells that would need a left neighbor
   beyond the observed column are exactly the ones never computed;
 * *backward completion* then fills the left triangle column by column with
-  the inverse relation ``a = next_center XOR g(center, right)`` and reads
-  the candidate key off the time-0 row.
+  the rule itself, as ``f(f(a, b, c), b, c) = a``: the left neighbor is
+  ``a = f(next_center, center, right)``.  The key is the time-0 row.
 
 Both passes are calls of the one rule kernel (``engine._kernel``) on packed
-ints.  The right triangle is held as rows (bit j = offset j), one kernel call
-per row.  The left triangle is held as columns (bit k = time k): a cell of
-column ``-m`` needs only columns ``-(m-1)`` and ``-(m-2)``, never its own
-column, so backward completion is parallel over time, one kernel call per
-column, with a zero left operand for ``g(b, c) = f(0, b, c)``.  A key is
-verified by its N tap bits, made by one call of the ring loop.
+ints, shifted.  The right triangle is held as rows (bit j = offset j), one
+kernel call per row.  The left triangle is held as columns (bit k = time k):
+a cell of column ``-m`` needs only columns ``-(m-1)`` and ``-(m-2)``, never
+its own column, so backward completion is parallel over time, one kernel
+call per column.  A key is verified by its N tap bits, made by one call of
+the ring loop.
 
 Coordinates: ``value(k, j)`` is the cell at time ``k`` and offset ``j``
 relative to the tap cell; the observed sequence is the column at offset 0,
@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .engine import Configuration, Rule, _anf, _kernel, _pack, _Record, _taps
+from .engine import Bits, Configuration, Rule, _anf, _kernel, _pack, _Record, _taps
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -51,8 +51,6 @@ __all__ = [
     "attack",
     "success_rate",
 ]
-
-Bits = tuple[int, ...]
 
 TraceFn = Callable[[int, Bits, Configuration, bool], None]
 
@@ -78,10 +76,10 @@ def _require_attackable(rule: Rule) -> None:
 
 
 def backward_step(rule: Rule, next_center: int, center: int, right: int) -> int:
-    """The unique left neighbor consistent with a cell's observed transition."""
+    """The unique left neighbor consistent with a cell's observed transition: f(next_center, center, right)."""
     _require_attackable(rule)
     _pack((next_center, center, right), "transition bits")
-    return next_center ^ rule.number >> (center << 1 | right) & 1
+    return rule.number >> (next_center << 2 | center << 1 | right) & 1
 
 
 class PartialDiagram(_Record, frozen=False):
@@ -137,9 +135,9 @@ def forward_completion(rule: Rule, observed: Sequence[int], right_guess: Sequenc
 
 
 def backward_completion(rule: Rule, diagram: PartialDiagram) -> Configuration:
-    """Fill the left triangle by inverting the rule's leftmost argument.
+    """Fill the left triangle with the rule itself, the inverse of its leftmost argument.
 
-    Column ``-m`` is one kernel call on columns ``-(m-1)`` and ``-(m-2)``;
+    Column ``-m`` is one kernel call on column ``-(m-1)`` a step later, ``-(m-1)`` and ``-(m-2)``;
     bit 0 of each column is then a key cell: offset ``-m`` is ring cell
     ``N - m``, so the returned configuration carries the tap cell at index 0.
     """
@@ -153,8 +151,7 @@ def backward_completion(rule: Rule, diagram: PartialDiagram) -> Configuration:
     columns = [center]
     for m in range(1, n):
         mask = (1 << (n - m)) - 1
-        # a = next_center XOR g(center, right), with g(b, c) = f(0, b, c)
-        center, right = ((center >> 1) ^ kernel(0, center, right, mask)) & mask, center
+        center, right = kernel(center >> 1, center, right, mask) & mask, center
         columns.append(center)
     diagram.columns = tuple(columns)
     key = sum((column & 1) << (n - m) % n for m, column in enumerate(columns))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from typing import Iterable, Iterator, Sequence
 
-from .engine import _TO_CELLS, _TO_DIGITS, SpaceTimeDiagram, _digits, _pack
+from .engine import _TO_CELLS, _TO_DIGITS, Bits, SpaceTimeDiagram, _digits, _pack
 
 __all__ = [
     "parse_bits",
@@ -25,8 +25,6 @@ __all__ = [
     "diagram_text",
     "diagram_pbm",
 ]
-
-Bits = tuple[int, ...]
 
 
 def parse_bits(text: str) -> Bits:
@@ -85,16 +83,16 @@ def _check_count(count: int, size: int) -> None:
 
 def _read_stream(path: str, fmt: str, bits: int | None, keep: int | None = None) -> tuple[bytes, int]:
     """The stream in a file as 0/1 bytes, or only its first ``keep`` bits, and its length in bits; ASCII
-    text is read and checked 1 MiB at a time, and a raw file only as far as is kept."""
+    text is read and checked 1 MiB at a time into one buffer, and a raw file only as far as is kept."""
     if fmt == "ascii":
-        parts, count = [], 0
+        cells, count = bytearray(), 0
         with open(path, encoding="utf-8") as handle:
             for text in iter(lambda: handle.read(1 << 20), ""):
-                cells = _parsed(text)  # every piece is checked, kept or not
+                piece = _parsed(text)  # every piece is checked, kept or not
                 if keep is None or count < keep:
-                    parts.append(cells)
-                count += len(cells)
-        return b"".join(parts)[:keep], count
+                    cells += piece
+                count += len(piece)
+        return (cells if keep is None else cells[:keep]), count  # a stream read whole is not copied
     if bits is None:
         raise ValueError("--bits is required with --stream-format raw")
     with open(path, "rb") as handle:

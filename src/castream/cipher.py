@@ -8,11 +8,9 @@ one-time-use discipline in the caller's face.
 """
 from __future__ import annotations
 
-from .engine import Configuration, RuleLike, _pack, _Record, _taps, _unpack
+from .engine import Bits, Configuration, RuleLike, _pack, _Record, _taps, _unpack
 
 __all__ = ["KeystreamSpec", "keystream", "vernam_encrypt", "vernam_decrypt"]
-
-Bits = tuple[int, ...]
 
 
 class KeystreamSpec(_Record):

@@ -123,6 +123,7 @@ def cmd_keystream(args: argparse.Namespace) -> int:
 
 def _cmd_xor(args: argparse.Namespace) -> int:
     from . import bitio
+    from .engine import TAP_CHUNK
     message, _ = bitio._read_stream(args.infile, args.stream_format, args.bits)
     key_bits = args.bits if args.key_bits is None else args.key_bits  # --key-bits 0 is no key, not absent
     key, _ = bitio._read_stream(args.key, args.stream_format, key_bits)
@@ -135,10 +136,11 @@ def _cmd_xor(args: argparse.Namespace) -> int:
         if not key:
             raise ValueError("key stream is empty")
         key = (key * (len(message) // len(key) + 1))[: len(message)]
-    # XOR is its own inverse, so encrypt and decrypt are one operation; as the bytes hold 0 or 1,
-    # the XOR of the two big-endian ints is the XOR of every bit
-    result = int.from_bytes(message, "big") ^ int.from_bytes(key, "big")
-    _emit(bitio._encoded((result.to_bytes(len(message), "big"),), args.stream_format), args.out)
+    # XOR is its own inverse, so encrypt and decrypt are one operation; as the bytes hold 0 or 1, the XOR
+    # of two big-endian ints is the XOR of every bit, taken and written TAP_CHUNK bits (whole bytes) a piece
+    pieces = ((int.from_bytes(message[i : i + TAP_CHUNK], "big") ^ int.from_bytes(key[i : i + TAP_CHUNK], "big"))
+              .to_bytes(min(TAP_CHUNK, len(message) - i), "big") for i in range(0, len(message), TAP_CHUNK))
+    _emit(bitio._encoded(pieces, args.stream_format), args.out)
     return EXIT_OK
 
 

@@ -55,6 +55,7 @@ HALO = 64  # cells copied from the far end onto each side of a stepped ring, at 
 
 _TO_DIGITS = b"01" + b"2" * 254  # 0/1 bytes to ASCII digits, any other byte to "2", which no base-2 int parses
 _TO_CELLS = bytes.maketrans(b"01", b"\x00\x01")
+Bits = tuple[int, ...]  # a bit string as the layers take and give it, one 0/1 int a bit
 
 _set = object.__setattr__  # how a record writes its own fields
 
@@ -140,7 +141,7 @@ class Rule(_Record):
         _set(self, "number", _pack(truth_table, "truth table entries"))  # raises unless each entry is 0 or 1
 
     @property
-    def truth_table(self) -> tuple[int, ...]:
+    def truth_table(self) -> Bits:
         return _unpack(self.number, 1 << self.neighborhood_size)
 
     @property
@@ -216,7 +217,7 @@ class Configuration(_Record):
         _set(self, "width", width)
 
     @property
-    def cells(self) -> tuple[int, ...]:
+    def cells(self) -> Bits:
         return _unpack(self._state, self.width)
 
     @classmethod
@@ -277,7 +278,7 @@ class SpaceTimeDiagram(_Record):
     def steps(self) -> int:
         return len(self.rows) - 1
 
-    def column(self, cell: int) -> tuple[int, ...]:
+    def column(self, cell: int) -> Bits:
         """Values of one cell over time (the temporal sequence)."""
         if not 0 <= cell < self.width:
             raise ValueError(f"cell {cell} out of range for width {self.width}")
@@ -440,7 +441,7 @@ def _digits(state: int, width: int) -> str:
     return format(state, f"0{width}b")[::-1] if width else ""  # width 0 would format as "0"
 
 
-def _unpack(state: int, width: int) -> tuple[int, ...]:
+def _unpack(state: int, width: int) -> Bits:
     return tuple(_digits(state, width).encode().translate(_TO_CELLS))
 
 
@@ -498,6 +499,6 @@ def evolve(config: Configuration, rule: RuleLike, steps: int) -> SpaceTimeDiagra
     return SpaceTimeDiagram._packed(tuple(Configuration._packed(s, config.width) for rows in chunks for s in rows))
 
 
-def temporal_sequence(config: Configuration, rule: RuleLike, cell: int, length: int) -> tuple[int, ...]:
+def temporal_sequence(config: Configuration, rule: RuleLike, cell: int, length: int) -> Bits:
     """Values of one fixed cell over ``length`` time steps, starting at time 0."""
     return tuple(b"".join(_taps(config, rule, cell, length)))

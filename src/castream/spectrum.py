@@ -39,7 +39,6 @@ from __future__ import annotations
 from functools import cache
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .algebra import _conjugate, _reflect, affine_decomposition
 from .engine import Rule, _kernel, _pack, _Record, _set, _unpack, _window
 
 if TYPE_CHECKING:
@@ -144,14 +143,15 @@ def iterate_rule(rule: Rule, order: int) -> BooleanFunction:
     return BooleanFunction._packed(state[0], 2 * rule.radius * order + 1)
 
 
-def _levels(rule: Rule, order: int) -> Iterator[list[int]]:
-    """The segment after each of ``order`` open-boundary steps from the window, as truth tables:
-    after step o it holds ``2*radius*(order - o) + 1`` cells."""
+def _levels(rule: Rule, order: int) -> Iterator[Sequence[int]]:
+    """The window, then the segment after each of ``order`` open-boundary steps from it, as truth
+    tables: after step o it holds ``2*radius*(order - o) + 1`` cells."""
     width = 2 * rule.radius * order + 1
     if width > MAX_TRANSFORM_VARIABLES:
         raise ValueError(f"iterated function would need {width} variables (max {MAX_TRANSFORM_VARIABLES})")
     span = rule.neighborhood_size
     state, kernel, mask = _window(width), _kernel(rule.number, span), (1 << (1 << width)) - 1
+    yield state
     for _ in range(order):
         state = [kernel(*state[i : i + span], mask) for i in range(len(state) - span + 1)]
         yield state
@@ -303,6 +303,7 @@ class ScanReport(_Record):
 
 def scan_rules(orders: Iterable[int]) -> ScanReport:
     """Evaluate balancedness, affinity, equivalences, and scores for all 256 rules, once per class."""
+    from .algebra import _conjugate, _reflect, affine_decomposition
     order_list = tuple(orders)
     if not order_list:
         raise ValueError("at least one order is required")
@@ -343,20 +344,20 @@ def _magnitudes(rule: Rule, orders: tuple[int, ...]) -> dict[int, list[int]]:
     """Per order, |W(2^k)| for each variable k of the rule iterated that many times, from two
     popcounts each, all from one iteration to the top order T over W window cells.
 
-    After step o the center cell reads none of the ``d = radius*(T - o)`` cells on either side:
+    After step o the center cell reads only the window cells d .. W - d - 1, d = radius*(T - o):
     the leftmost d are its top variables, so the low 2^(W - d) bits of its table hold it whole,
     and the rightmost d each double its popcounts.
     """
     top = max(orders)
-    width, magnitudes = 2 * rule.radius * top + 1, {}
-    for o, state in enumerate(_levels(rule, top), 1):
+    width, magnitudes, levels = 2 * rule.radius * top + 1, {}, _levels(rule, top)
+    window = next(levels)  # the cells the levels are iterated from, leftmost first
+    for o, state in enumerate(levels, 1):
         if o in orders:
             d = rule.radius * (top - o)
-            low = width - d  # the variables left once the leftmost d cells are dropped
-            table = state[d] & ((1 << (1 << low)) - 1)
+            table = state[d] & ((1 << (1 << width - d)) - 1)
             ones = table.bit_count()
-            # the window's cells leftmost first, so variable k is the k-th cell from the right
-            cells = reversed(_window(low)[: low - d])
+            # variable k is the k-th cell from the right of those the center reads
+            cells = reversed(window[d : width - d])
             magnitudes[o] = [abs(ones - 2 * (table & cell).bit_count()) >> d for cell in cells]
     return {o: magnitudes[o] for o in orders}
 

@@ -350,3 +350,10 @@ def test_attack_inputs_are_checked_by_the_one_packer(bad):
         attack(RULE_30, (0, bad, 1, 0, 0), max_trials=4, seed=0)
     with pytest.raises(ValueError, match="transition bits must be 0 or 1"):
         backward_step(RULE_30, bad, 0, 1)
+
+
+def test_completions_reject_radius_2_rules_and_a_single_observed_bit():
+    with pytest.raises(ValueError, match="radius-1 rules only"):
+        forward_completion(rule_from_number(869020563, 2), (0, 1, 0), (1, 0))
+    with pytest.raises(ValueError, match="observed sequence must contain at least 2 values"):
+        forward_completion(RULE_30, (1,), ())

@@ -82,6 +82,15 @@ def test_evolve_width_mismatch_is_usage_error(capsys):
     assert "does not match" in err
 
 
+def test_a_missing_rule_and_negative_steps_are_usage_errors_that_open_no_out(capsys, tmp_path):
+    out = tmp_path / "out.txt"
+    code, _, err = run(capsys, "keystream", "--key", "01011", "--length", "8", "--out", str(out))
+    assert (code, err) == (EXIT_USAGE, "error: one of --rule or --rules is required\n")
+    code, _, err = run(capsys, "evolve", "--rule", "30", "--steps", "-1", "--init", "01011", "--out", str(out))
+    assert (code, err) == (EXIT_USAGE, "error: steps must be >= 0\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("subcommand", ["evolve", "keystream"])
 @pytest.mark.parametrize("text", ["\u0661\u0660\u0661\u0660", "\uff11\uff10\uff11\uff10"])
 def test_non_ascii_digits_in_a_literal_ring_are_usage_errors(capsys, subcommand, text):
@@ -790,6 +799,7 @@ _OPTIONAL_LAYERS = {"castream.attack", "castream.spectrum", "castream.algebra", 
         ([_NUMPY_FREE_COMMANDS[6]], {"castream.attack"}),  # attack
         ([_NUMPY_FREE_COMMANDS[0], _NUMPY_FREE_COMMANDS[3]], {"castream.fips"}),  # keystream, then fips
         ([_NUMPY_FREE_COMMANDS[5]], {"castream.spectrum", "castream.algebra"}),  # scan
+        ([_TRANSFORM_COMMANDS[0]], {"castream.spectrum"}),  # spectrum: algebra only serves scan and classify
     ],
 )
 def test_each_command_loads_only_the_layers_it_runs(tmp_path, commands, allowed):

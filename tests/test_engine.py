@@ -16,6 +16,7 @@ from castream.engine import (
     Configuration,
     Rule,
     RuleAssignment,
+    SpaceTimeDiagram,
     _anf,
     _circuit,
     _kernel,
@@ -597,3 +598,33 @@ def test_rule_rejects_a_float_entry_when_built():
     with pytest.raises(ValueError, match="truth table entries must be 0 or 1"):
         Rule(1, (1.0,) + (0,) * 7)
     assert Rule(1, (True,) + (False,) * 7).number == 1
+
+
+def test_records_name_what_they_reject():
+    with pytest.raises(ValueError, match=r"unsupported radius 3; must be one of \(1, 2\)"):
+        Rule(3, (0,) * 128)
+    with pytest.raises(ValueError, match="truth table must have 8 entries for radius 1, got 7"):
+        Rule(1, (0,) * 7)
+    with pytest.raises(ValueError, match="assignment must contain at least one rule"):
+        RuleAssignment(())
+    with pytest.raises(ValueError, match="need at least one rule to cycle"):
+        RuleAssignment.cycle((), 5)
+    with pytest.raises(ValueError, match="diagram must contain at least one row"):
+        SpaceTimeDiagram(())
+    with pytest.raises(ValueError, match="all rows must share one width"):
+        SpaceTimeDiagram((Configuration.zeros(3), Configuration.zeros(4)))
+
+
+def test_assignment_width_is_its_rule_count():
+    assert RuleAssignment.cycle([rule_from_number(30), rule_from_number(90)], 5).width == 5
+
+
+def test_diagram_counts_its_steps_and_evolve_and_column_check_their_range():
+    config, rule = Configuration.single(5), rule_from_number(30)
+    diagram = evolve(config, rule, 3)
+    assert (diagram.steps, diagram.width) == (3, 5)
+    assert diagram.column(4) == temporal_sequence(config, rule, 4, 4)
+    with pytest.raises(ValueError, match="cell 5 out of range for width 5"):
+        diagram.column(5)
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        evolve(config, rule, -1)

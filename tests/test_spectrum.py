@@ -596,3 +596,18 @@ def test_scan_report_rejects_repeated_rules():
     report = scan_rules((1,))
     with pytest.raises(ValueError, match="must not repeat"):
         scan_report_csv(report, only=[30, 30])
+
+
+def test_transform_and_report_name_what_they_cannot_hold():
+    with pytest.raises(ValueError, match=r"function has 25 variables \(max 24\)"):
+        walsh_transform(BooleanFunction._packed(0, 25))
+    with pytest.raises(ValueError, match=r"rule number 256 out of range 0\.\.255"):
+        scan_rules((1,)).row(256)
+
+
+def test_minmax_score_checks_the_window_before_it_builds_one():
+    # radius 2 at order 6 would read 25 window cells, each a 2^25-bit table, past the memory guard
+    misses = _window.cache_info().misses
+    with pytest.raises(ValueError, match=r"iterated function would need 25 variables \(max 24\)"):
+        minmax_score(rule_from_number(869020563, 2), 6)
+    assert _window.cache_info().misses == misses  # no window was built
